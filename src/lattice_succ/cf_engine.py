@@ -8,7 +8,10 @@ convergent m-1, each probe a single big-integer power comparison.
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core_arith import (
     GREATER,
@@ -36,69 +39,71 @@ class SecondaryConvergent:
 class ConvergentTable:
     """Lazily extended table of partial quotients and primary convergents.
 
-    Row i stores (a_i, h_i, k_i), with a_0 = 0, h_0 = 0, k_0 = 1. Rows are
-    appended whole and never rewritten, so concurrent readers never observe
-    a partial row; concurrent extenders must be serialized externally.
+    Index i holds (a_i, h_i, k_i), with a_0 = 0, h_0 = 0, k_0 = 1, in three
+    flat append-only lists. A row is appended list by list, k last, and the
+    depth is read from k, so a reader never sees a partial row. Extension
+    holds a per-table lock and re-checks the depth under it; lookups take no
+    lock.
     """
 
     def __init__(self, pair: GeneratorPair):
         self.pair = pair
-        self._rows: list[tuple[int, int, int]] = [(0, 0, 1)]
+        self._a = [0]
+        self._h = [0]
+        self._k = [1]
+        self._lock = threading.Lock()
 
     @property
     def depth(self) -> int:
         """Highest stored convergent index."""
-        return len(self._rows) - 1
+        return len(self._k) - 1
 
     def quotient(self, i: int) -> int:
-        return self._row(i)[0]
+        return self._a[self._check_index(i)]
 
     def h(self, i: int) -> int:
-        return self._row(i)[1]
+        return self._h[self._check_index(i)]
 
     def k(self, i: int) -> int:
-        return self._row(i)[2]
+        return self._k[self._check_index(i)]
 
-    def _row(self, i: int) -> tuple[int, int, int]:
-        if i < 0 or i > self.depth:
-            raise IndexBeyondTable(f"index {i} beyond table depth {self.depth}")
-        return self._rows[i]
+    def _check_index(self, i: int) -> int:
+        if i < 0 or i >= len(self._k):
+            raise IndexBeyondTable(f"index {i} beyond table depth {len(self._k) - 1}")
+        return i
 
     @property
     def quotients(self) -> list[int]:
-        return [r[0] for r in self._rows]
+        return self._a[: len(self._k)]
 
     @property
     def convergents(self) -> list[tuple[int, int]]:
-        return [(r[1], r[2]) for r in self._rows]
+        return list(zip(self._h, self._k))
 
     def extend_to(self, i: int) -> "ConvergentTable":
         """Ensure quotients and convergents through index i are stored."""
-        while self.depth < i:
-            self._append_row()
+        with self._lock:
+            while len(self._k) <= i:
+                self._append_row()
         return self
 
     def extend_until(self, above: int, seq: str = "k", parity: int = 1) -> "ConvergentTable":
         """Grow until the last index of the given parity has h or k > above."""
         if seq not in ("h", "k"):
             raise ValueError(f"seq must be 'h' or 'k', got {seq!r}")
-        while True:
-            d = self.depth
-            if d % 2 != parity:
-                d -= 1
-            if d >= 0:
-                val = self.k(d) if seq == "k" else self.h(d)
-                if val > above:
-                    return self
-            self._append_row()
+        values = self._h if seq == "h" else self._k
+        with self._lock:
+            while not _last_exceeds(values, len(self._k) - 1, parity, above):
+                self._append_row()
+        return self
 
     def _append_row(self) -> None:
-        m = self.depth
-        _, hm, km = self._rows[m]
+        m = len(self._k) - 1
+        hm, km = self._h[m], self._k[m]
         if m == 0:
             hp, kp = 1, 0  # conventional convergent -1 = 1/0
         else:
-            _, hp, kp = self._rows[m - 1]
+            hp, kp = self._h[m - 1], self._k[m - 1]
         # Convergent m-1 sits below alpha at even index, above at odd.
         side_prev = LESS if (m - 1) % 2 == 0 else GREATER
 
@@ -118,7 +123,54 @@ class ConvergentTable:
             else:
                 hi = mid
         a = lo
-        self._rows.append((a, hp + a * hm, kp + a * km))
+        self._a.append(a)
+        self._h.append(hp + a * hm)
+        self._k.append(kp + a * km)
+
+
+def _last_exceeds(values: list[int], depth: int, parity: int, c: int) -> bool:
+    """Whether the last stored entry of the given parity exceeds c."""
+    last = depth - (depth - parity) % 2
+    return last >= 0 and values[last] > c
+
+
+def _band(table: ConvergentTable, seq: str, parity: int, c: int) -> tuple[int, int, int]:
+    """Band of coordinate c over the h or k entries of one parity: (n, t, rem).
+
+    n is the largest index of that parity with seq[n] <= c, and
+    (t, rem) = divmod(c - seq[n], seq[n + 1]). The caller guarantees
+    seq[parity] <= c. The table grows only when its last entry of that parity
+    does not exceed c.
+    """
+    values = table._h if seq == "h" else table._k
+    depth = len(table._k) - 1
+    if not _last_exceeds(values, depth, parity, c):
+        table.extend_until(c, seq, parity)
+        depth = len(table._k) - 1
+    n = bisect_right(values, c, 0, depth + 1) - 1
+    n -= (n - parity) % 2
+    t, rem = divmod(c - values[n], values[n + 1])
+    return n, t, rem
+
+
+def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterator[tuple[int, int, int]]:
+    """(n, t, start) of every band over seq that starts below limit.
+
+    Bands of index n (of the given parity) start at seq[n] + t*seq[n+1] for
+    0 <= t < a_{n+2}, each seq[n+1] wide. The table grows only as far as the
+    last index these starts need.
+    """
+    values = table._h if seq == "h" else table._k
+    table.extend_to(parity)
+    n = parity
+    while values[n] < limit:
+        table.extend_to(n + 2)
+        for t in range(table._a[n + 2]):
+            start = values[n] + t * values[n + 1]
+            if start >= limit:
+                break
+            yield n, t, start
+        n += 2
 
 
 def secondary_convergents(table: ConvergentTable, level: int) -> list[SecondaryConvergent]:

@@ -1,4 +1,4 @@
-"""Command-line front door: queries, verification suites, exports, benchmark."""
+"""Command-line front door: queries, verification suites, exports."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass, field
 
 from .cf_engine import ConvergentTable
 from .core_arith import (
@@ -17,7 +15,7 @@ from .core_arith import (
     RationalLogRatio,
     validate_pair,
 )
-from .oracle import enumerate_sorted, naive_next
+from .oracle import enumerate_sorted
 from .sequences import (
     minimal_fractional_subsequences,
     predicted_record_indices,
@@ -32,33 +30,15 @@ BUDGET_ENV_VAR = "LATTICE_SUCC_BIT_BUDGET"
 FORMATS = ("text", "json-lines", "tsv")
 
 
-@dataclass
-class RunConfig:
-    p1: int
-    p2: int
-    bit_budget: int = DEFAULT_BIT_BUDGET
-    fmt: str = "text"
-    params: dict = field(default_factory=dict)
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BIT_BUDGET
-
-
 def _emit(records: list[dict], columns: list[str], fmt: str, out) -> None:
+    """Write records as JSON lines, or as TSV for the tsv and text formats."""
     if fmt == "json-lines":
         for rec in records:
             out.write(json.dumps({c: rec[c] for c in columns}) + "\n")
-    elif fmt == "tsv":
+    else:
         out.write("\t".join(columns) + "\n")
         for rec in records:
             out.write("\t".join(str(rec[c]) for c in columns) + "\n")
-    else:
-        widths = {c: max(len(c), *(len(str(r[c])) for r in records)) if records else len(c) for c in columns}
-        out.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
-        for rec in records:
-            out.write("  ".join(str(rec[c]).ljust(widths[c]) for c in columns).rstrip() + "\n")
 
 
 def _emit_point(p: GridPoint, val, fmt: str, out) -> None:
@@ -74,48 +54,46 @@ def _emit_point(p: GridPoint, val, fmt: str, out) -> None:
         _emit([rec], cols, fmt, out)
 
 
-def _cmd_cf(cfg: RunConfig, pair, out) -> int:
-    table = ConvergentTable(pair).extend_to(cfg.params["depth"])
+def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
+    table = ConvergentTable(pair).extend_to(args.depth)
     records = [
         {"index": i, "quotient": table.quotient(i), "h": table.h(i), "k": table.k(i)}
         for i in range(table.depth + 1)
     ]
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         out.write("quotients " + " ".join(str(q) for q in table.quotients) + "\n")
-    _emit(records, ["index", "quotient", "h", "k"], cfg.fmt if cfg.fmt != "text" else "tsv", out)
+    _emit(records, ["index", "quotient", "h", "k"], args.fmt, out)
     return 0
 
 
-def _cmd_next(cfg: RunConfig, pair, out) -> int:
+def _cmd_next(args: argparse.Namespace, pair, out) -> int:
     table = ConvergentTable(pair)
-    p = GridPoint(cfg.params["i"], cfg.params["j"])
+    p = GridPoint(args.i, args.j)
     q = next_point(table, p)
-    _emit_point(q, value(pair, q) if cfg.params["value"] else None, cfg.fmt, out)
+    _emit_point(q, value(pair, q) if args.value else None, args.fmt, out)
     return 0
 
 
-def _cmd_prev(cfg: RunConfig, pair, out) -> int:
+def _cmd_prev(args: argparse.Namespace, pair, out) -> int:
     table = ConvergentTable(pair)
-    p = GridPoint(cfg.params["i"], cfg.params["j"])
+    p = GridPoint(args.i, args.j)
     q = prev_point(table, p)
-    _emit_point(q, value(pair, q) if cfg.params["value"] else None, cfg.fmt, out)
+    _emit_point(q, value(pair, q) if args.value else None, args.fmt, out)
     return 0
 
 
-def _cmd_enum(cfg: RunConfig, pair, out) -> int:
-    elems = enumerate_sorted(pair, cfg.params["count"])
+def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
+    elems = enumerate_sorted(pair, args.count)
     records = [
         {"index": idx, "i": p.i, "j": p.j, "value": v} for idx, (p, v) in enumerate(elems)
     ]
-    _emit(records, ["index", "i", "j", "value"], cfg.fmt if cfg.fmt != "text" else "tsv", out)
+    _emit(records, ["index", "i", "j", "value"], args.fmt, out)
     return 0
 
 
-def _cmd_tile(cfg: RunConfig, pair, out) -> int:
+def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
     table = ConvergentTable(pair)
-    W, H = cfg.params["width"], cfg.params["height"]
-    tilde = cfg.params["tilde"]
-    rects = rectangles_in_window(table, W, H, tilde=tilde)
+    rects = rectangles_in_window(table, args.width, args.height, tilde=args.tilde)
     records = [
         {
             "family": r.family,
@@ -128,24 +106,18 @@ def _cmd_tile(cfg: RunConfig, pair, out) -> int:
         }
         for r in rects
     ]
-    _emit(
-        records,
-        ["family", "level", "band", "x_min", "x_max", "y_min", "y_max"],
-        cfg.fmt if cfg.fmt != "text" else "tsv",
-        out,
-    )
-    svg_path = cfg.params["svg"]
-    if svg_path:
-        with open(svg_path, "w") as fh:
-            fh.write(render_tiling_svg(rects, W, H))
+    _emit(records, ["family", "level", "band", "x_min", "x_max", "y_min", "y_max"], args.fmt, out)
+    if args.svg:
+        with open(args.svg, "w") as fh:
+            fh.write(render_tiling_svg(rects, args.width, args.height))
     return 0
 
 
-def _cmd_gaps(cfg: RunConfig, pair, out) -> int:
+def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
     table = ConvergentTable(pair)
-    family = cfg.params["family"]
+    family = args.family
     records = []
-    for level in range(1 if family == "A" else 0, cfg.params["levels"] + 1):
+    for level in range(1 if family == "A" else 0, args.levels + 1):
         w = large_gap(table, level, family=family)
         records.append(
             {
@@ -158,20 +130,15 @@ def _cmd_gaps(cfg: RunConfig, pair, out) -> int:
                 "gap": w.gap,
             }
         )
-    _emit(
-        records,
-        ["level", "family", "i", "j", "succ_i", "succ_j", "gap"],
-        cfg.fmt if cfg.fmt != "text" else "tsv",
-        out,
-    )
+    _emit(records, ["level", "family", "i", "j", "succ_i", "succ_j", "gap"], args.fmt, out)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, pair, out) -> int:
+def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     table = ConvergentTable(pair)
-    W, H = cfg.params["window"]
-    scan = cfg.params["scan"]
-    depth = cfg.params["depth"]
+    W, H = args.window
+    scan = args.scan
+    depth = args.depth
     results: list[tuple[str, bool, str]] = []
 
     src = verify_partition(table, W, H, tilde=False)
@@ -202,46 +169,6 @@ def _cmd_verify(cfg: RunConfig, pair, out) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_bench(cfg: RunConfig, pair, out) -> int:
-    count = cfg.params["count"]
-    table = ConvergentTable(pair)
-
-    start = time.perf_counter()
-    p = GridPoint(0, 0)
-    cf_walk = [p]
-    for _ in range(count):
-        p = next_point(table, p)
-        cf_walk.append(p)
-    cf_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    q = GridPoint(0, 0)
-    naive_walk = [q]
-    for _ in range(count):
-        q = naive_next(pair, q)
-        naive_walk.append(q)
-    naive_seconds = time.perf_counter() - start
-
-    agree = cf_walk == naive_walk
-    speedup = naive_seconds / cf_seconds if cf_seconds > 0 else float("inf")
-    records = [
-        {
-            "steps": count,
-            "cf_seconds": round(cf_seconds, 6),
-            "naive_seconds": round(naive_seconds, 6),
-            "speedup": round(speedup, 2),
-            "walks_agree": agree,
-        }
-    ]
-    _emit(
-        records,
-        ["steps", "cf_seconds", "naive_seconds", "speedup", "walks_agree"],
-        cfg.fmt if cfg.fmt != "text" else "tsv",
-        out,
-    )
-    return 0 if agree else 1
-
-
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -265,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--bit-budget",
             type=int,
-            default=_default_budget(),
+            default=os.environ.get(BUDGET_ENV_VAR) or str(DEFAULT_BIT_BUDGET),
             help=f"cap on power-comparison bit sizes (env {BUDGET_ENV_VAR})",
         )
 
@@ -302,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", type=int, default=500)
     p.add_argument("--depth", type=int, default=8)
 
-    p = sub.add_parser("bench", help="CF successor walk vs fresh enumeration per query")
-    common(p)
-    p.add_argument("--count", type=int, default=500)
-
     return parser
 
 
@@ -317,22 +240,15 @@ _COMMANDS = {
     "tile": _cmd_tile,
     "gaps": _cmd_gaps,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
 }
 
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "p1", "p2", "fmt", "bit_budget")
-    }
-    cfg = RunConfig(p1=args.p1, p2=args.p2, bit_budget=args.bit_budget, fmt=args.fmt, params=params)
     try:
-        pair = validate_pair(cfg.p1, cfg.p2, cfg.bit_budget)
-        return _COMMANDS[args.command](cfg, pair, out)
+        pair = validate_pair(args.p1, args.p2, args.bit_budget)
+        return _COMMANDS[args.command](args, pair, out)
     except RationalLogRatio as exc:
         print(f"error: theory requires multiplicatively independent generators ({exc})", file=sys.stderr)
         return 2

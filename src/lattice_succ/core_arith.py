@@ -38,6 +38,10 @@ class BudgetExceeded(LatticeError):
     """A power comparison would exceed the configured bit budget."""
 
 
+class InternalConsistencyError(LatticeError):
+    """A tie that irrationality forbids, or a failed covering check; indicates a bug."""
+
+
 @dataclass(frozen=True)
 class GeneratorPair:
     """Validated generators (p1, p2) with alpha = log(p1)/log(p2) irrational.
@@ -65,12 +69,13 @@ def _integer_root(x: int, r: int) -> int:
     """Largest m with m**r <= x, for x >= 1, r >= 1."""
     if r == 1:
         return x
-    m = round(x ** (1.0 / r))
-    while m > 1 and m**r > x:
-        m -= 1
-    while (m + 1) ** r <= x:
-        m += 1
-    return m
+    # Integer Newton iteration falls monotonically from any start above the root.
+    m = 1 << -(-x.bit_length() // r)
+    while True:
+        below = ((r - 1) * m + x // m ** (r - 1)) // r
+        if below >= m:
+            return m
+        m = below
 
 
 def perfect_power_base(p: int) -> tuple[int, int]:

@@ -15,15 +15,11 @@ from .core_arith import (
     LESS,
     AffineForm,
     GeneratorPair,
-    LatticeError,
+    InternalConsistencyError,
     compare_affine,
     f,
     g,
 )
-
-
-class InternalConsistencyError(LatticeError):
-    """A tie that irrationality forbids was observed; indicates a bug."""
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ predecessor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cf_engine import ConvergentTable
-from .core_arith import BudgetExceeded, GeneratorPair, LatticeError
+from .cf_engine import ConvergentTable, _band
+from .core_arith import BudgetExceeded, GeneratorPair, InternalConsistencyError, LatticeError
 
 
 class NoPredecessor(LatticeError):
@@ -71,76 +72,87 @@ def rectangle_point(table: ConvergentTable, rid: RectangleId) -> GridPoint:
     return GridPoint(dx + r, s) if rid.tilde else base
 
 
-def _ensure_source_depth(table: ConvergentTable, p: GridPoint) -> None:
-    table.extend_until(p.j, seq="h", parity=0)
-    table.extend_until(p.i, seq="k", parity=1)
+def _coords(p) -> tuple[int, int]:
+    """Integer coordinates of p; anything without __index__ raises TypeError."""
+    x, y = map(operator.index, p)
+    if x < 0 or y < 0:
+        raise ValueError(f"grid point must be non-negative, got {tuple(p)}")
+    return x, y
+
+
+def _source(table: ConvergentTable, x: int, y: int) -> tuple[str, int, int, int]:
+    """(family, n, t, rem) of the source rectangle holding (x, y).
+
+    Follows the covering argument: y falls in the P band of index n over the
+    even h; the point is a P cell iff x < k_{n+1}, otherwise it falls in the
+    A band of index n over the odd k, and then y < h_{n+1}.
+    """
+    n, t, rem = _band(table, "h", 0, y)
+    if x < table._k[n + 1]:
+        return "P", n, t, rem
+    n, t, rem = _band(table, "k", 1, x)
+    if y >= table._h[n + 1]:
+        raise InternalConsistencyError(f"covering argument violated at ({x}, {y})")
+    return "A", n, t, rem
+
+
+def _tilde(table: ConvergentTable, x: int, y: int) -> tuple[str, int, int, int]:
+    """(family, n, t, rem) of the translated rectangle holding (x, y) != (0, 0).
+
+    The source search with the axes and h, k swapped.
+    """
+    if x == 0 and y == 0:
+        raise NoPredecessor("(0, 0) lies in no translated rectangle")
+    if x >= 1:
+        n, t, rem = _band(table, "k", 0, x)
+        if y < table._h[n + 1]:
+            return "P", n, t, rem
+    n, t, rem = _band(table, "h", 1, y)
+    if x >= table._k[n + 1]:
+        raise InternalConsistencyError(f"covering argument violated at ({x}, {y})")
+    return "A", n, t, rem
 
 
 def locate(table: ConvergentTable, p: GridPoint) -> RectangleId:
-    """Find the unique source rectangle containing p.
-
-    Follows the covering argument: find the P band for p.j; the point is a
-    P rectangle cell iff p.i < k_{2L+1}, otherwise it falls in the A band
-    for p.i (and then p.j < h_{2L} is guaranteed).
-    """
-    x, y = p
-    if x < 0 or y < 0:
-        raise ValueError(f"grid point must be non-negative, got {p}")
-    _ensure_source_depth(table, p)
-
-    lvl = 0
-    while 2 * lvl + 2 <= table.depth and table.h(2 * lvl + 2) <= y:
-        lvl += 1
-    t, rem = divmod(y - table.h(2 * lvl), table.h(2 * lvl + 1))
-    if x < table.k(2 * lvl + 1):
-        return RectangleId("P", lvl, t, x, rem)
-
-    lvl = 1
-    while 2 * lvl + 1 <= table.depth and table.k(2 * lvl + 1) <= x:
-        lvl += 1
-    t, rem = divmod(x - table.k(2 * lvl - 1), table.k(2 * lvl))
-    assert y < table.h(2 * lvl), "covering argument violated"
-    return RectangleId("A", lvl, t, rem, y)
+    """Find the unique source rectangle containing p."""
+    x, y = _coords(p)
+    family, n, t, rem = _source(table, x, y)
+    if family == "P":
+        return RectangleId("P", n // 2, t, x, rem)
+    return RectangleId("A", (n + 1) // 2, t, rem, y)
 
 
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> RectangleId:
     """Find the unique translated (tilde) rectangle containing p != (0, 0)."""
-    x, y = p
-    if x == 0 and y == 0:
-        raise NoPredecessor("(0, 0) lies in no translated rectangle")
-    if x < 0 or y < 0:
-        raise ValueError(f"grid point must be non-negative, got {p}")
-    table.extend_until(x, seq="k", parity=0)
-    table.extend_until(y, seq="h", parity=1)
-
-    if x >= 1:
-        lvl = 0
-        while 2 * lvl + 2 <= table.depth and table.k(2 * lvl + 2) <= x:
-            lvl += 1
-        t, rem = divmod(x - table.k(2 * lvl), table.k(2 * lvl + 1))
-        if y < table.h(2 * lvl + 1):
-            return RectangleId("P", lvl, t, rem, y, tilde=True)
-
-    lvl = 1
-    while 2 * lvl + 1 <= table.depth and table.h(2 * lvl + 1) <= y:
-        lvl += 1
-    t, rem = divmod(y - table.h(2 * lvl - 1), table.h(2 * lvl))
-    assert x < table.k(2 * lvl), "covering argument violated"
-    return RectangleId("A", lvl, t, x, rem, tilde=True)
+    x, y = _coords(p)
+    family, n, t, rem = _tilde(table, x, y)
+    if family == "P":
+        return RectangleId("P", n // 2, t, rem, y, tilde=True)
+    return RectangleId("A", (n + 1) // 2, t, x, rem, tilde=True)
 
 
 def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the successor of p1^i * p2^j in sorted S."""
-    rid = locate(table, p)
-    dx, dy = translation(table, rid.family, rid.level, rid.band)
-    return GridPoint(p.i + dx, p.j + dy)
+    # Adding the translation leaves the band offset rem on the band's axis.
+    x, y = _coords(p)
+    family, n, t, rem = _source(table, x, y)
+    if family == "P":
+        k = table._k
+        return GridPoint(x + k[n] + t * k[n + 1], rem)
+    h = table._h
+    return GridPoint(rem, y + h[n] + t * h[n + 1])
 
 
 def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the predecessor; raises NoPredecessor at (0, 0)."""
-    rid = locate_tilde(table, p)
-    dx, dy = translation(table, rid.family, rid.level, rid.band)
-    return GridPoint(p.i - dx, p.j - dy)
+    # Undoing the translation leaves the band offset rem on the band's axis.
+    x, y = _coords(p)
+    family, n, t, rem = _tilde(table, x, y)
+    if family == "P":
+        h = table._h
+        return GridPoint(rem, y + h[n] + t * h[n + 1])
+    k = table._k
+    return GridPoint(x + k[n] + t * k[n + 1], rem)
 
 
 def value(pair: GeneratorPair, p: GridPoint) -> int:

@@ -1,17 +1,15 @@
 """Materialized rectangle families, partition verification, and gap witnesses.
 
 The partition verifier deliberately stays dumber than the theorem: it paints
-every rectangle onto a dense window and checks each cell is covered exactly
-once (the translated family leaves exactly the origin uncovered).
+every rectangle onto the window's cells and checks each cell is covered
+exactly once (the translated family leaves exactly the origin uncovered).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cf_engine import ConvergentTable
+from .cf_engine import ConvergentTable, _bands
 from .successor import GridPoint, next_point, value
 
 
@@ -66,63 +64,21 @@ def rectangles_in_window(
     """All rectangles of the family-set intersecting [0, W) x [0, H).
 
     Full (unclipped) extents are reported; stable-sorted by family, level,
-    band.
+    band. A band over k runs along x and spans y < h_{n+1}; a band over h
+    runs along y and spans x < k_{n+1}. The source partition has A bands over
+    the odd k and P bands over the even h; the tilde partition swaps h and k.
     """
     if W < 1 or H < 1:
         raise ValueError(f"window must be positive, got {W}x{H}")
-    bound = max(W, H)
-    table.extend_until(bound, seq="k", parity=1)
-    table.extend_until(bound, seq="k", parity=0)
-    table.extend_until(bound, seq="h", parity=0)
-    table.extend_until(bound, seq="h", parity=1)
-
+    families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     rects: list[Rectangle] = []
-    if not tilde:
-        i = 1
-        while table.k(2 * i - 1) < W:
-            table.extend_to(2 * i + 1)
-            for t in range(table.quotient(2 * i + 1)):
-                x0 = table.k(2 * i - 1) + t * table.k(2 * i)
-                if x0 >= W:
-                    break
-                rects.append(
-                    Rectangle("A", i, t, x0, x0 + table.k(2 * i) - 1, 0, table.h(2 * i) - 1)
-                )
-            i += 1
-        i = 0
-        while table.h(2 * i) < H:
-            table.extend_to(2 * i + 2)
-            for t in range(table.quotient(2 * i + 2)):
-                y0 = table.h(2 * i) + t * table.h(2 * i + 1)
-                if y0 >= H:
-                    break
-                rects.append(
-                    Rectangle("P", i, t, 0, table.k(2 * i + 1) - 1, y0, y0 + table.h(2 * i + 1) - 1)
-                )
-            i += 1
-    else:
-        i = 1
-        while table.h(2 * i - 1) < H:
-            table.extend_to(2 * i + 1)
-            for t in range(table.quotient(2 * i + 1)):
-                y0 = table.h(2 * i - 1) + t * table.h(2 * i)
-                if y0 >= H:
-                    break
-                rects.append(
-                    Rectangle("A~", i, t, 0, table.k(2 * i) - 1, y0, y0 + table.h(2 * i) - 1)
-                )
-            i += 1
-        i = 0
-        while table.k(2 * i) < W:
-            table.extend_to(2 * i + 2)
-            for t in range(table.quotient(2 * i + 2)):
-                x0 = table.k(2 * i) + t * table.k(2 * i + 1)
-                if x0 >= W:
-                    break
-                rects.append(
-                    Rectangle("P~", i, t, x0, x0 + table.k(2 * i + 1) - 1, 0, table.h(2 * i + 1) - 1)
-                )
-            i += 1
+    for family, seq, parity in families:
+        for n, t, start in _bands(table, seq, parity, W if seq == "k" else H):
+            if seq == "k":
+                extents = (start, start + table.k(n + 1) - 1, 0, table.h(n + 1) - 1)
+            else:
+                extents = (0, table.k(n + 1) - 1, start, start + table.h(n + 1) - 1)
+            rects.append(Rectangle(family, (n + 1) // 2, t, *extents))
     rects.sort(key=lambda r: (r.family, r.level, r.band))
     return rects
 
@@ -132,22 +88,37 @@ def verify_partition(
 ) -> PartitionReport:
     """Check every window cell lies in exactly one rectangle of the family-set.
 
-    For the tilde families the origin must be covered by none.
+    For the tilde families the origin must be covered by none. Each window
+    column is a bitmask over y: a cell painted twice is recorded as doubly
+    covered, and every column must end equal to its expected mask.
     """
     rects = rectangles_in_window(table, W, H, tilde)
-    counts = np.zeros((W, H), dtype=np.int32)
+    painted = [0] * W
+    doubled = [0] * W
     for r in rects:
         x0, x1 = max(r.x_min, 0), min(r.x_max, W - 1)
         y0, y1 = max(r.y_min, 0), min(r.y_max, H - 1)
-        if x0 <= x1 and y0 <= y1:
-            counts[x0 : x1 + 1, y0 : y1 + 1] += 1
-    expected = np.ones((W, H), dtype=np.int32)
-    if tilde:
-        expected[0, 0] = 0
-    bad = np.argwhere(counts != expected)
-    violations = [((int(x), int(y)), int(counts[x, y])) for x, y in bad[:20]]
+        if x0 > x1 or y0 > y1:
+            continue
+        mask = ((1 << (y1 - y0 + 1)) - 1) << y0
+        for x in range(x0, x1 + 1):
+            doubled[x] |= painted[x] & mask
+            painted[x] |= mask
+    full = (1 << H) - 1
+    bad: list[tuple[int, int]] = []
+    for x in range(W):
+        expected = full & ~1 if tilde and x == 0 else full
+        wrong = (painted[x] ^ expected) | doubled[x]
+        while wrong and len(bad) < 20:
+            low = wrong & -wrong
+            bad.append((x, low.bit_length() - 1))
+            wrong ^= low
+    violations = [
+        ((x, y), sum(r.x_min <= x <= r.x_max and r.y_min <= y <= r.y_max for r in rects))
+        for x, y in bad
+    ]
     return PartitionReport(
-        ok=bad.size == 0,
+        ok=not bad,
         width=W,
         height=H,
         tilde=tilde,

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -96,6 +98,33 @@ def test_extend_until(table23):
     assert table23.k(d) > 1000
     with pytest.raises(ValueError):
         table23.extend_until(10, seq="x")
+
+
+def test_concurrent_extension_matches_single_thread():
+    want = ConvergentTable(pair_for(2, 3)).extend_to(14).quotients
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            table = ConvergentTable(pair_for(2, 3))
+            errors = []
+
+            def extend():
+                try:
+                    table.extend_to(14)
+                except Exception as exc:  # reported below; a thread's raise is otherwise lost
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=extend) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert table.quotients == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_index_beyond_table():

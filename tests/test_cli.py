@@ -117,19 +117,18 @@ def test_verify_passes():
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_bench_reports():
-    code, out = invoke(["bench", "--p1", "2", "--p2", "3", "--count", "60", "--format", "json-lines"])
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["walks_agree"] is True
-    assert rec["steps"] == 60
-
-
 def test_env_var_budget(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "50")
     # a 50-bit budget cannot even evaluate a modest power comparison
     code, _ = invoke(["next", "--p1", "2", "--p2", "3", "--i", "500", "--j", "500"])
     assert code == 2
+
+
+def test_non_integer_env_var_budget_exits_2(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1e6")
+    with pytest.raises(SystemExit) as exc:
+        invoke(["next", "--p1", "2", "--p2", "3", "--i", "1", "--j", "1"])
+    assert exc.value.code == 2
 
 
 def test_bad_window_string():

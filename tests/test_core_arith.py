@@ -42,6 +42,13 @@ class TestValidatePair:
         with pytest.raises(OrderViolation):
             validate_pair(p1, p2)
 
+    def test_generator_past_float_range(self):
+        # 10**400 overflows a float; the perfect-power test must stay in integers
+        assert isinstance(validate_pair(2, 10**400), GeneratorPair)
+        assert perfect_power_base(10**400) == (10, 400)
+        with pytest.raises(RationalLogRatio):
+            validate_pair(10**200, 10**400)
+
 
 @pytest.mark.parametrize(
     "p,base,exp",

@@ -35,6 +35,26 @@ class TestLocate:
         with pytest.raises(ValueError):
             locate(table23, GridPoint(-1, 0))
 
+    @pytest.mark.parametrize("fn", [locate, locate_tilde, next_point, prev_point])
+    def test_rejects_float_coordinates(self, table23, fn):
+        with pytest.raises(TypeError):
+            fn(table23, GridPoint(1.5, 2))
+        with pytest.raises(TypeError):
+            fn(table23, GridPoint(2, 2.0))
+
+    def test_accepts_index_objects(self, table23):
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        p = GridPoint(Index(3), Index(2))
+        assert next_point(table23, p) == GridPoint(0, 4)
+        assert prev_point(table23, GridPoint(Index(0), Index(4))) == GridPoint(3, 2)
+        assert locate(table23, p) == RectangleId("A", 2, 0, 0, 2)
+
     @given(args=pair_args, p=points)
     @settings(max_examples=120)
     def test_roundtrips(self, args, p):
