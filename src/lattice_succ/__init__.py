@@ -10,6 +10,7 @@ from .core_arith import (
     BudgetExceeded,
     GeneratorPair,
     LatticeError,
+    NonIntegerArgument,
     OrderViolation,
     RationalLogRatio,
     compare_affine,

@@ -1,14 +1,17 @@
 """Exact order decisions against alpha = log(p1)/log(p2).
 
-Every comparison in this package bottoms out here, in big-integer power
-comparisons: h/k < alpha iff p2**h < p1**k. No floating point result is
-ever trusted unless its error bound certifies the sign.
+Every comparison in this package bottoms out in one primitive here,
+`_affine_sign`, and finally in big-integer power comparisons: h/k < alpha
+iff p2**h < p1**k. No floating point result is ever trusted unless its
+error bound certifies the sign.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 LESS = -1
 EQUAL = 0
@@ -42,6 +45,10 @@ class InternalConsistencyError(LatticeError):
     """A tie that irrationality forbids, or a failed covering check; indicates a bug."""
 
 
+class NonIntegerArgument(LatticeError, TypeError):
+    """A generator, budget or index that is not an integer (has no __index__)."""
+
+
 @dataclass(frozen=True)
 class GeneratorPair:
     """Validated generators (p1, p2) with alpha = log(p1)/log(p2) irrational.
@@ -52,6 +59,10 @@ class GeneratorPair:
     p1: int
     p2: int
     bit_budget: int = DEFAULT_BIT_BUDGET
+
+    @cached_property
+    def _log2(self) -> tuple[float, float]:  # not a field, so not in eq/hash
+        return math.log2(self.p1), math.log2(self.p2)
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,14 @@ def perfect_power_base(p: int) -> tuple[int, int]:
     return p, 1
 
 
+def _integer(x, name: str) -> int:
+    """x as a Python int; anything without __index__ raises NonIntegerArgument."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise NonIntegerArgument(f"{name} must be an integer, got {x!r}") from None
+
+
 def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> GeneratorPair:
     """Check 1 < p1 < p2 and multiplicative independence of (p1, p2).
 
@@ -94,6 +113,8 @@ def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Gen
     by perfect-power decomposition: p1 = m**u, p2 = n**v with m, n not
     perfect powers; the pair is dependent iff m == n.
     """
+    p1, p2 = _integer(p1, "p1"), _integer(p2, "p2")
+    bit_budget = _integer(bit_budget, "bit_budget")
     if p1 <= 1 or p2 <= p1:
         raise OrderViolation(f"need 1 < p1 < p2, got p1={p1}, p2={p2}")
     if bit_budget < 1:
@@ -102,20 +123,48 @@ def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Gen
     n, _ = perfect_power_base(p2)
     if m == n:
         raise RationalLogRatio(
-            f"{p1} and {p2} are both powers of {m}; log({p1})/log({p2}) is rational"
+            f"theory requires multiplicatively independent generators, but {p1} and {p2} "
+            f"are both powers of {m}; log({p1})/log({p2}) is rational"
         )
     return GeneratorPair(p1, p2, bit_budget)
 
 
-def _check_budget(pair: GeneratorPair, bits: float) -> None:
-    if bits > pair.bit_budget:
-        raise BudgetExceeded(
-            f"power comparison needs ~{int(bits)} bits, budget is {pair.bit_budget}"
+def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
+    """Exact sign of dk*alpha - dn, which is the sign of p1**dk / p2**dn - 1.
+
+    The one order decision of the package: the bit-budget check, the
+    certified float pre-filter on the bit counts, the big-integer fallback
+    and the tie that irrationality forbids all live here.
+    """
+    s = 1
+    if dk < 0:  # decide the sign of the negated form, which has dk > 0
+        dk, dn, s = -dk, -dn, -1
+    budget = pair.bit_budget
+    # log2(p) >= 1, so an exponent above the budget needs more bits than the
+    # budget allows; refusing it here also keeps it out of float conversion.
+    if dk > budget or abs(dn) > budget:
+        raise BudgetExceeded(f"power comparison has an exponent above the bit budget {budget}")
+    lp1, lp2 = pair._log2
+    a = dk * lp1  # bits of p1**dk
+    b = abs(dn) * lp2  # bits of p2**|dn|
+    # With dn <= 0 the operands are p1**dk * p2**-dn and 1, and p2**dn <= 1 <= p1**dk.
+    bits = a + b if dn <= 0 else (a if a > b else b)
+    if bits > budget:
+        raise BudgetExceeded(f"power comparison needs ~{int(bits)} bits, budget is {budget}")
+    if dn <= 0:
+        return s if dk or dn else EQUAL
+    gap = a - b
+    margin = (a + b) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN
+    if gap > margin:
+        return s
+    if gap < -margin:
+        return -s
+    lhs, rhs = pair.p1**dk, pair.p2**dn
+    if lhs == rhs:
+        raise RationalLogRatio(
+            f"p1**{dk} == p2**{dn}: generators are not multiplicatively independent"
         )
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+    return s if lhs > rhs else -s
 
 
 def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
@@ -126,20 +175,7 @@ def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
     """
     if h < 0 or k < 0 or (h == 0 and k == 0):
         raise ValueError(f"invalid fraction {h}/{k}")
-    lhs_bits = h * math.log2(pair.p2)
-    rhs_bits = k * math.log2(pair.p1)
-    _check_budget(pair, max(lhs_bits, rhs_bits))
-    # Certified float pre-filter on the bit counts.
-    gap = lhs_bits - rhs_bits
-    margin = (lhs_bits + rhs_bits) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN
-    if abs(gap) > margin:
-        return LESS if gap < 0 else GREATER
-    sign = _sign(pair.p2**h - pair.p1**k)
-    if sign == 0:
-        raise RationalLogRatio(
-            f"p2**{h} == p1**{k}: generators are multiplicatively dependent"
-        )
-    return sign
+    return -_affine_sign(pair, k, h)
 
 
 def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
@@ -147,29 +183,7 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
 
     EQUAL only for component-wise equal forms (irrationality of alpha).
     """
-    dk = u.coeff - v.coeff
-    dn = u.const - v.const
-    if dk == 0 and dn == 0:
-        return EQUAL
-    # sign of dk*alpha - dn == sign of p1**dk - p2**dn as positive rationals:
-    # p1**max(dk,0) * p2**max(-dn,0)  vs  p1**max(-dk,0) * p2**max(dn,0).
-    lp1 = math.log2(pair.p1)
-    lp2 = math.log2(pair.p2)
-    lhs_bits = max(dk, 0) * lp1 + max(-dn, 0) * lp2
-    rhs_bits = max(-dk, 0) * lp1 + max(dn, 0) * lp2
-    _check_budget(pair, max(lhs_bits, rhs_bits))
-    gap = lhs_bits - rhs_bits
-    margin = (lhs_bits + rhs_bits) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN
-    if abs(gap) > margin:
-        return LESS if gap < 0 else GREATER
-    lhs = pair.p1 ** max(dk, 0) * pair.p2 ** max(-dn, 0)
-    rhs = pair.p1 ** max(-dk, 0) * pair.p2 ** max(dn, 0)
-    sign = _sign(lhs - rhs)
-    if sign == 0:
-        raise RationalLogRatio(
-            f"{dk}*alpha == {dn}: generators are multiplicatively dependent"
-        )
-    return sign
+    return _affine_sign(pair, u.coeff - v.coeff, u.const - v.const)
 
 
 def affine_sign(pair: GeneratorPair, u: AffineForm) -> int:
@@ -180,11 +194,24 @@ def affine_sign(pair: GeneratorPair, u: AffineForm) -> int:
 def f(pair: GeneratorPair, n: int) -> int:
     """Upper sequence f(n) = ceil(n/alpha): least k with n/k < alpha.
 
-    Equivalently the unique k with (k-1)*alpha < n < k*alpha. Found by
-    doubling then binary search, each probe one exact fraction comparison.
+    Equivalently the unique k with (k-1)*alpha < n < k*alpha. The float guess
+    k = floor(n*log(p2)/log(p1)) + 1 is returned only when the two exact
+    comparisons that define f(n) confirm it. Otherwise, and when n has more
+    bits than a double holds exactly, a search decides.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n.bit_length() <= 52:
+        lp1, lp2 = pair._log2
+        k = int(n * lp2 / lp1) + 1
+        if compare_fraction(pair, n, k) == LESS and compare_fraction(pair, n, k - 1) == GREATER:
+            return k
+    return _f_search(pair, n)
+
+
+def _f_search(pair: GeneratorPair, n: int) -> int:
+    """f(n) by doubling then binary search, each probe one exact comparison."""
     hi = 1
     while compare_fraction(pair, n, hi) == GREATER:
         hi *= 2

@@ -102,7 +102,7 @@ def _tilde(table: ConvergentTable, x: int, y: int) -> tuple[str, int, int, int]:
     The source search with the axes and h, k swapped.
     """
     if x == 0 and y == 0:
-        raise NoPredecessor("(0, 0) lies in no translated rectangle")
+        raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
     if x >= 1:
         n, t, rem = _band(table, "k", 0, x)
         if y < table._h[n + 1]:

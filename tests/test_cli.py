@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lattice_succ.cli import BUDGET_ENV_VAR, run
+from lattice_succ.cli import BUDGET_ENV_VAR, build_parser, run
 
 
 def invoke(argv):
@@ -92,6 +92,17 @@ def test_tile_output_and_svg(tmp_path):
     assert text.startswith("<?xml") and "<svg" in text and "</svg>" in text
 
 
+def test_tile_unwritable_svg_exits_2(tmp_path, capsys):
+    code, _ = invoke(
+        [
+            "tile", "--p1", "2", "--p2", "3", "--width", "5", "--height", "5",
+            "--svg", str(tmp_path / "missing" / "tiles.svg"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_tile_tilde_differs():
     _, src = invoke(["tile", "--p1", "2", "--p2", "3", "--width", "10", "--height", "10"])
     _, tld = invoke(["tile", "--p1", "2", "--p2", "3", "--width", "10", "--height", "10", "--tilde"])
@@ -115,6 +126,49 @@ def test_verify_passes():
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+VERIFY_ARGS = ["verify", "--p1", "2", "--p2", "3", "--window", "40x40", "--scan", "100", "--depth", "6"]
+
+
+def test_verify_text_lines():
+    _, out = invoke(VERIFY_ARGS)
+    assert out.splitlines()[0] == "PASS partition-source: 10 rectangles on 40x40"
+    assert out.splitlines()[2] == "PASS oracle-agreement: 100 successor steps, 0 mismatches"
+
+
+def test_verify_json_lines_and_tsv():
+    code, out = invoke(VERIFY_ARGS + ["--format", "json-lines"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [r["suite"] for r in records][:2] == ["partition-source", "partition-tilde"]
+    assert len(records) == 6 and all(r["ok"] is True for r in records)
+    assert records[0]["detail"] == "10 rectangles on 40x40"
+    code, out = invoke(VERIFY_ARGS + ["--format", "tsv"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "suite\tok\tdetail"
+    assert lines[1] == "partition-source\tTrue\t10 rectangles on 40x40"
+    assert len(lines) == 7
+
+
+def test_parser_built_once_per_budget_default(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    build_parser.cache_clear()
+    far = ["next", "--p1", "2", "--p2", "3", "--i", "500", "--j", "500"]
+    assert invoke(far)[0] == 0
+    assert invoke(far)[0] == 0
+    assert build_parser.cache_info().misses == 1
+    # each run reads the variable afresh: 50 bits refuse the query, unset allows it
+    monkeypatch.setenv(BUDGET_ENV_VAR, "50")
+    assert invoke(far)[0] == 2
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    assert invoke(far)[0] == 0
+    assert build_parser.cache_info().misses == 2
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1e6")
+    with pytest.raises(SystemExit) as exc:
+        invoke(far)
+    assert exc.value.code == 2
 
 
 def test_env_var_budget(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,8 @@ from lattice_succ import (
     AffineForm,
     BudgetExceeded,
     GeneratorPair,
+    LatticeError,
+    NonIntegerArgument,
     OrderViolation,
     RationalLogRatio,
     compare_affine,
@@ -16,9 +20,16 @@ from lattice_succ import (
     g,
     validate_pair,
 )
-from lattice_succ.core_arith import ZERO_FORM, perfect_power_base
+from lattice_succ.core_arith import (
+    _FLOAT_ABS_MARGIN,
+    _FLOAT_REL_MARGIN,
+    ZERO_FORM,
+    _f_search,
+    affine_sign,
+    perfect_power_base,
+)
 
-from conftest import PAIR_ARGS, pair_for
+from conftest import PAIR_ARGS, pair_for, safe_depth, table_for
 
 pairs = st.sampled_from([pair_for(*a) for a in PAIR_ARGS])
 
@@ -48,6 +59,20 @@ class TestValidatePair:
         assert perfect_power_base(10**400) == (10, 400)
         with pytest.raises(RationalLogRatio):
             validate_pair(10**200, 10**400)
+
+    @pytest.mark.parametrize("args", [(2.0, 3), ("2", 3), (2, 3.5), (2, 3, 1e6), (None, 3)])
+    def test_non_integer_arguments_are_typed(self, args):
+        with pytest.raises(NonIntegerArgument) as exc:
+            validate_pair(*args)
+        assert isinstance(exc.value, LatticeError) and isinstance(exc.value, TypeError)
+
+    def test_index_objects_accepted(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        pair = validate_pair(Two(), 3)
+        assert (pair.p1, pair.p2) == (2, 3) and type(pair.p1) is int
 
 
 @pytest.mark.parametrize(
@@ -82,6 +107,13 @@ class TestCompareFraction:
         with pytest.raises(BudgetExceeded):
             compare_fraction(tight, 1000, 1)
 
+    def test_exponent_past_float_range_is_refused(self, pair23):
+        # 10**400 cannot become a float; the budget refuses it first
+        with pytest.raises(BudgetExceeded):
+            compare_fraction(pair23, 10**400, 1)
+        with pytest.raises(BudgetExceeded):
+            compare_affine(pair23, AffineForm(-(10**400), 3), ZERO_FORM)
+
 
 class TestCompareAffine:
     def test_equal_forms(self, pair23):
@@ -100,6 +132,25 @@ class TestCompareAffine:
         frac_side = compare_fraction(pair, h, k)
         affine_side = compare_affine(pair, AffineForm(k, h), ZERO_FORM)
         assert frac_side == -affine_side
+
+    @pytest.mark.parametrize("args,depth", [((2, 3), 14), ((3, 5), 13)])
+    def test_fraction_is_negated_affine_sign_on_exact_path(self, args, depth):
+        # Convergents up to the deepest one the default budget reaches, and
+        # their neighbours: the last bit gaps are narrower than the float
+        # margin, so their order comes from big-integer powers.
+        pair = pair_for(*args)
+        table = table_for(*args).extend_to(depth)
+        lp1, lp2 = math.log2(pair.p1), math.log2(pair.p2)
+        exact = 0
+        for i in range(1, depth + 1):
+            for h in (table.h(i) - 1, table.h(i), table.h(i) + 1):
+                k = table.k(i)
+                frac = compare_fraction(pair, h, k)
+                assert frac == -affine_sign(pair, AffineForm(k, h))
+                assert frac == (LESS if pair.p2**h < pair.p1**k else GREATER)
+                a, b = k * lp1, h * lp2
+                exact += abs(a - b) <= (a + b) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN
+        assert exact > 0
 
     @given(
         pair=pairs,
@@ -132,6 +183,44 @@ class TestUpperLowerSequences:
         with pytest.raises(ValueError):
             f(pair23, 0)
 
+    def test_rejects_non_integer(self, pair23):
+        with pytest.raises(NonIntegerArgument):
+            f(pair23, 2.5)
+        with pytest.raises(NonIntegerArgument):
+            g(pair23, 2.0)
+
+    def test_n_past_float_range_is_refused(self, pair23):
+        with pytest.raises(BudgetExceeded):
+            f(pair23, 10**400)
+
+    @given(pair=pairs, n=st.integers(1, 3000))
+    @settings(max_examples=80)
+    def test_f_matches_bisection_reference(self, pair, n):
+        want = _f_reference(pair, n)
+        assert f(pair, n) == want
+        assert _f_search(pair, n) == want
+
+    @given(args=st.sampled_from(PAIR_ARGS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_f_matches_reference_near_convergents(self, args, data):
+        # n/alpha lies closest to an integer at convergent numerators, where a
+        # float guess of f(n) is most likely to be off by one.
+        pair, table = pair_for(*args), table_for(*args)
+        depth = safe_depth(table, 14, k_cap=10**5)
+        i = data.draw(st.integers(1, depth), label="index")
+        n = table.h(i) + data.draw(st.integers(-1, 1), label="offset")
+        if n >= 1:
+            assert f(pair, n) == _f_reference(pair, n)
+
+    @given(pair=pairs, n=st.integers(2**53, 2**80))
+    @settings(max_examples=20)
+    def test_f_past_float_mantissa_is_refused(self, pair, n):
+        # p2**n has more bits than any budget can allow, so both searches refuse.
+        with pytest.raises(BudgetExceeded):
+            f(pair, n)
+        with pytest.raises(BudgetExceeded):
+            _f_search(pair, n)
+
     @given(pair=pairs, n=st.integers(1, 400))
     @settings(max_examples=60)
     def test_bracketing(self, pair, n):
@@ -148,6 +237,19 @@ class TestUpperLowerSequences:
     @settings(max_examples=40)
     def test_strictly_increasing(self, pair, n):
         assert f(pair, n + 1) > f(pair, n)
+
+
+def _f_reference(pair, n):
+    """Least k with p2**n < p1**k, by bisection over exact powers."""
+    target = pair.p2**n
+    lo, hi = 0, n * pair.p2.bit_length()  # p1**lo <= target < 2**hi <= p1**hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pair.p1**mid > target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_generator_pair_is_hashable_and_frozen():
