@@ -39,6 +39,7 @@ from .successor import (
     rectangle_point,
     translation,
     value,
+    walk,
 )
 from .tiling import GapWitness, PartitionReport, Rectangle, large_gap, rectangles_in_window, verify_partition
 

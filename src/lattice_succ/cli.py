@@ -17,7 +17,7 @@ from .sequences import (
     verify_fg_at_convergents,
     verify_monotone_fractional_chains,
 )
-from .successor import GridPoint, next_point, prev_point, value
+from .successor import GridPoint, next_point, prev_point, value, walk
 from .svg import render_tiling_svg
 from .tiling import large_gap, rectangles_in_window, verify_partition
 
@@ -145,9 +145,9 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     suite("partition-tilde", tld.ok, f"{tld.rectangle_count} rectangles on {W}x{H}")
 
     elems = enumerate_sorted(pair, scan + 1)
-    mismatches = sum(
-        1 for (p, _), (q, _) in zip(elems, elems[1:]) if next_point(table, p) != q
-    )
+    # Both lists start at elems[0], so they agree iff every oracle step is next_point's.
+    walked = walk(table, elems[0][0], scan)
+    mismatches = abs(len(walked) - scan) + sum(1 for p, (q, _) in zip(walked, elems[1:]) if p != q)
     suite("oracle-agreement", mismatches == 0, f"{scan} successor steps, {mismatches} mismatches")
 
     fg = verify_fg_at_convergents(table, depth)

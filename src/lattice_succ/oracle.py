@@ -11,7 +11,7 @@ import heapq
 from typing import Iterator
 
 from .core_arith import LESS, AffineForm, GeneratorPair, ZERO_FORM, compare_affine
-from .successor import GridPoint, value
+from .successor import GridPoint, _check_value_budget, value
 
 
 class _AffineKey:
@@ -33,9 +33,10 @@ class _AffineKey:
 class SortedStream:
     """Single-consumer lazy enumeration of S in strictly increasing order.
 
-    key="value" orders the frontier by the exact integers; key="affine"
-    compares exponent forms instead, avoiding gigantic products during deep
-    experiments.
+    Heap entries carry exact values, so a step multiplies by p1 or p2 instead
+    of forming powers; next() leaves the emitted value in `last_value`.
+    key="value" orders the frontier by those integers; key="affine" compares
+    exponent forms instead, an independent check of the same order.
     """
 
     def __init__(self, pair: GeneratorPair, key: str = "value"):
@@ -43,33 +44,36 @@ class SortedStream:
             raise ValueError(f"key must be 'value' or 'affine', got {key!r}")
         self.pair = pair
         self.key = key
-        self._heap: list[tuple] = [(self._key_for(0, 0), 0, 0)]
-
-    def _key_for(self, i: int, j: int):
-        if self.key == "value":
-            return self.pair.p1**i * self.pair.p2**j
-        return _AffineKey(self.pair, i, j)
+        self.last_value: int | None = None
+        self._heap: list[tuple] = [(1 if key == "value" else _AffineKey(pair, 0, 0), 0, 0, 1)]
 
     def __iter__(self) -> Iterator[GridPoint]:
         return self
 
     def __next__(self) -> GridPoint:
-        _, i, j = heapq.heappop(self._heap)
-        heapq.heappush(self._heap, (self._key_for(i + 1, j), i + 1, j))
+        heap, pair, affine = self._heap, self.pair, self.key == "affine"
+        _, i, j, v = heap[0]
+        # Entries are (key, i, j, value). The right neighbour is larger than
+        # the head, so it can replace it.
+        v1 = v * pair.p1
+        heapq.heapreplace(heap, (_AffineKey(pair, i + 1, j) if affine else v1, i + 1, j, v1))
         if i == 0:
-            heapq.heappush(self._heap, (self._key_for(0, j + 1), 0, j + 1))
+            v2 = v * pair.p2
+            heapq.heappush(heap, (_AffineKey(pair, 0, j + 1) if affine else v2, 0, j + 1, v2))
+        self.last_value = v
         return GridPoint(i, j)
 
 
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
-    """First `count` elements of S as (coordinates, exact value)."""
+    """First `count` elements of S as (coordinates, exact value); refuses where value() would."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     stream = SortedStream(pair)
     out = []
     for _ in range(count):
         p = next(stream)
-        out.append((p, value(pair, p)))
+        _check_value_budget(pair, p.i, p.j)
+        out.append((p, stream.last_value))
     return out
 
 
@@ -77,8 +81,9 @@ def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoi
     """Successor of p by fresh enumeration until value(p) is passed."""
     if key == "value":
         target = value(pair, p)
-        for q in SortedStream(pair):
-            if pair.p1**q.i * pair.p2**q.j > target:
+        stream = SortedStream(pair)
+        for q in stream:
+            if stream.last_value > target:
                 return q
     else:
         target = _AffineKey(pair, p.i, p.j)

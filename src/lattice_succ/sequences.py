@@ -16,9 +16,9 @@ from .core_arith import (
     AffineForm,
     GeneratorPair,
     InternalConsistencyError,
+    _affine_sign,
     compare_affine,
     f,
-    g,
 )
 
 
@@ -63,7 +63,7 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
 
     def check(n: int, expected_f: int, expected_g: int, label: str) -> None:
         fn = f(pair, n)
-        gn = g(pair, n)
+        gn = fn - 1  # g(n) = f(n) - 1 by definition
         report.checked += 1
         if fn != expected_f or gn != expected_g:
             report.ok = False
@@ -157,45 +157,41 @@ def minimal_fractional_subsequences(
     """Strict running-minimum records of z_n and y_n over n = 1..N.
 
     z_n = f(n)*alpha - n with z_0 = alpha seeding the minimum; a record is a
-    strictly smaller value than everything before it. Returns the two index
-    lists. A tie between distinct indices is impossible for irrational alpha
-    and raises InternalConsistencyError.
+    strictly smaller value than everything before it. Since y_n = alpha - z_n,
+    a y record is a strict running maximum of z, so one z stream gives both
+    lists. Returns the two index lists. A tie between distinct indices is
+    impossible for irrational alpha and raises InternalConsistencyError.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     pair = table.pair
-    n_records: list[int] = []
-    m_records: list[int] = []
-    z_min = AffineForm(1, 0)  # z_0 = alpha
-    y_min = None
+    n_records: list[int] = [1]
+    m_records: list[int] = [1]
     # Incremental f: maintain p1**fn > p2**n > p1**(fn-1).
     fn = f(pair, 1)
     pow1 = pair.p1**fn
     pow2 = pair.p2
-    for n in range(1, N + 1):
-        if n > 1:
-            pow2 *= pair.p2
-            while pow1 <= pow2:
-                fn += 1
-                pow1 *= pair.p1
-        z = AffineForm(fn, n)
-        y = AffineForm(-(fn - 1), -n)
-        cz = compare_affine(pair, z, z_min)
-        if cz == EQUAL:
-            raise InternalConsistencyError(f"z_{n} ties the running minimum")
-        if cz == LESS:
-            z_min = z
+    # n = 1 opens both lists: y_1 is the first y, and z_1 < z_0 = alpha is
+    # f(1)'s definition. The running min and max of z are kept as (f(n), n).
+    k_min, n_min = k_max, n_max = fn, 1
+    for n in range(2, N + 1):
+        pow2 *= pair.p2
+        while pow1 <= pow2:
+            fn += 1
+            pow1 *= pair.p1
+        c = _affine_sign(pair, fn - k_min, n - n_min)
+        if c == LESS:
+            k_min, n_min = fn, n
             n_records.append(n)
-        if y_min is None:
-            y_min = y
+            continue
+        if c == EQUAL:
+            raise InternalConsistencyError(f"z_{n} ties the running minimum")
+        c = _affine_sign(pair, fn - k_max, n - n_max)
+        if c == GREATER:
+            k_max, n_max = fn, n
             m_records.append(n)
-        else:
-            cy = compare_affine(pair, y, y_min)
-            if cy == EQUAL:
-                raise InternalConsistencyError(f"y_{n} ties the running minimum")
-            if cy == LESS:
-                y_min = y
-                m_records.append(n)
+        elif c == EQUAL:
+            raise InternalConsistencyError(f"y_{n} ties the running minimum")
     return n_records, m_records
 
 

@@ -10,7 +10,6 @@ predecessor.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -143,6 +142,23 @@ def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     return GridPoint(rem, y + h[n] + t * h[n + 1])
 
 
+def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
+    """The n successors of p in sorted S: next_point iterated n times in one call."""
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
+    x, y = _coords(p)
+    h, k = table._h, table._k  # append-only, so rows added mid-walk show here
+    out = []
+    for _ in range(n):
+        family, m, t, rem = _source(table, x, y)
+        if family == "P":
+            x, y = x + k[m] + t * k[m + 1], rem
+        else:
+            x, y = rem, y + h[m] + t * h[m + 1]
+        out.append(GridPoint(x, y))
+    return out
+
+
 def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the predecessor; raises NoPredecessor at (0, 0)."""
     # Undoing the translation leaves the band offset rem on the band's axis.
@@ -155,11 +171,19 @@ def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     return GridPoint(x + k[n] + t * k[n + 1], rem)
 
 
+def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
+    """Refuse p1**i * p2**j with BudgetExceeded when it needs more bits than the budget."""
+    budget = pair.bit_budget
+    # log2(p) >= 1, so this also keeps exponents too large for a float out of the estimate.
+    if i > budget or j > budget:
+        raise BudgetExceeded(f"value at {(i, j)} has an exponent above the bit budget {budget}")
+    lp1, lp2 = pair._log2
+    bits = i * lp1 + j * lp2
+    if bits > budget:
+        raise BudgetExceeded(f"value at {(i, j)} needs ~{int(bits)} bits, budget is {budget}")
+
+
 def value(pair: GeneratorPair, p: GridPoint) -> int:
     """Exact integer p1**i * p2**j."""
-    bits = p.i * math.log2(pair.p1) + p.j * math.log2(pair.p2)
-    if bits > pair.bit_budget:
-        raise BudgetExceeded(
-            f"value at {tuple(p)} needs ~{int(bits)} bits, budget is {pair.bit_budget}"
-        )
+    _check_value_budget(pair, p.i, p.j)
     return pair.p1**p.i * pair.p2**p.j

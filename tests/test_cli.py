@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lattice_succ import cli
 from lattice_succ.cli import BUDGET_ENV_VAR, build_parser, run
 
 
@@ -150,6 +151,32 @@ def test_verify_json_lines_and_tsv():
     assert lines[0] == "suite\tok\tdetail"
     assert lines[1] == "partition-source\tTrue\t10 rectangles on 40x40"
     assert len(lines) == 7
+
+
+def test_verify_fails_on_a_walk_that_skips_a_step(monkeypatch):
+    real = cli.walk
+
+    def skipping(table, p, n):
+        points = real(table, p, n + 1)
+        return points[:40] + points[41:]
+
+    monkeypatch.setattr(cli, "walk", skipping)
+    code, out = invoke(VERIFY_ARGS)
+    assert code == 1
+    assert "FAIL oracle-agreement: 100 successor steps, 60 mismatches" in out.splitlines()
+
+
+def test_verify_fails_on_a_dropped_record(monkeypatch):
+    real = cli.minimal_fractional_subsequences
+
+    def dropping(table, N):
+        n_records, m_records = real(table, N)
+        return n_records[:-1], m_records
+
+    monkeypatch.setattr(cli, "minimal_fractional_subsequences", dropping)
+    code, out = invoke(VERIFY_ARGS)
+    assert code == 1
+    assert "FAIL record-subsequences: scan N=100" in out.splitlines()
 
 
 def test_parser_built_once_per_budget_default(monkeypatch):

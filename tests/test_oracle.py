@@ -1,6 +1,14 @@
 import pytest
 
-from lattice_succ import GridPoint, SortedStream, enumerate_sorted, naive_next, value
+from lattice_succ import (
+    BudgetExceeded,
+    GridPoint,
+    SortedStream,
+    enumerate_sorted,
+    naive_next,
+    validate_pair,
+    value,
+)
 
 from conftest import PAIR_ARGS, pair_for
 
@@ -26,7 +34,7 @@ def test_rejects_nonpositive_count(pair23):
 @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
 def test_strictly_increasing_and_distinct(p1, p2):
     pair = pair_for(p1, p2)
-    elems = enumerate_sorted(pair, 500)
+    elems = enumerate_sorted(pair, 3000)
     values = [v for _, v in elems]
     assert values == sorted(set(values))
     coords = [p for p, _ in elems]
@@ -40,6 +48,32 @@ def test_affine_key_mode_matches_value_mode(pair23):
     s2 = SortedStream(pair23, key="affine")
     for _ in range(300):
         assert next(s1) == next(s2)
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_value_and_affine_keys_agree_on_3000(p1, p2):
+    pair = pair_for(p1, p2)
+    s1 = SortedStream(pair)
+    s2 = SortedStream(pair, key="affine")
+    for _ in range(3000):
+        assert next(s1) == next(s2)
+        assert s1.last_value == s2.last_value
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_budget_refusal_at_the_element_value_refuses(p1, p2):
+    pair = validate_pair(p1, p2, bit_budget=64)
+    # reference: the first element of the stream whose value() is refused
+    for idx, p in enumerate(SortedStream(pair)):
+        try:
+            value(pair, p)
+        except BudgetExceeded as exc:
+            want = str(exc)
+            break
+    assert len(enumerate_sorted(pair, idx)) == idx
+    with pytest.raises(BudgetExceeded) as got:
+        enumerate_sorted(pair, idx + 1)
+    assert str(got.value) == want
 
 
 def test_bad_key_rejected(pair23):

@@ -2,6 +2,7 @@ import pytest
 
 from lattice_succ import (
     GREATER,
+    LESS,
     AffineForm,
     compare_affine,
     frac_parts,
@@ -117,3 +118,22 @@ class TestMinimalFractionalSubsequences:
         assert n_diffs == pattern("odd", len(n_diffs))
         m_diffs = [b - a for a, b in zip(m_rec, m_rec[1:])]
         assert m_diffs == pattern("even", len(m_diffs))
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    @pytest.mark.parametrize("N", [1, 2, 3000])
+    def test_matches_frac_parts_reference(self, p1, p2, N):
+        # the scan written out: both fractional parts as AffineForms per n,
+        # each compared with its own running minimum
+        table = table_for(p1, p2)
+        pair = table.pair
+        n_rec, m_rec = [], []
+        z_min, y_min = AffineForm(1, 0), None  # z_0 = alpha
+        for n in range(1, N + 1):
+            rec = frac_parts(pair, n)
+            if compare_affine(pair, rec.z, z_min) == LESS:
+                z_min = rec.z
+                n_rec.append(n)
+            if y_min is None or compare_affine(pair, rec.y, y_min) == LESS:
+                y_min = rec.y
+                m_rec.append(n)
+        assert minimal_fractional_subsequences(table, N) == (n_rec, m_rec)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from lattice_succ import (
     translation,
     validate_pair,
     value,
+    walk,
 )
 
 from conftest import PAIR_ARGS, table_for
@@ -132,6 +135,40 @@ class TestNext:
         assert GridPoint(0, 0) not in image
 
 
+class TestWalk:
+    @staticmethod
+    def iterated(table, p, n):
+        out = []
+        for _ in range(n):
+            p = next_point(table, p)
+            out.append(p)
+        return out
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_from_origin_equals_iterated_next_point(self, p1, p2):
+        table = table_for(p1, p2)
+        assert walk(table, GridPoint(0, 0), 2000) == self.iterated(table, GridPoint(0, 0), 2000)
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_from_seeded_points_equals_iterated_next_point(self, p1, p2):
+        table = table_for(p1, p2)
+        rng = random.Random(p1 * 100 + p2)
+        for _ in range(20):
+            p = GridPoint(rng.randrange(10_001), rng.randrange(10_001))
+            assert walk(table, p, 50) == self.iterated(table, p, 50)
+
+    def test_zero_steps(self, table23):
+        assert walk(table23, GridPoint(3, 2), 0) == []
+
+    def test_rejects_negative_count_and_bad_points(self, table23):
+        with pytest.raises(ValueError):
+            walk(table23, GridPoint(0, 0), -1)
+        with pytest.raises(ValueError):
+            walk(table23, GridPoint(-1, 0), 1)
+        with pytest.raises(TypeError):
+            walk(table23, GridPoint(1.5, 2), 1)
+
+
 class TestPrev:
     def test_no_predecessor_at_origin(self, table23):
         with pytest.raises(NoPredecessor):
@@ -175,3 +212,8 @@ class TestValue:
         pair = validate_pair(2, 3, bit_budget=100)
         with pytest.raises(BudgetExceeded):
             value(pair, GridPoint(200, 0))
+
+    @pytest.mark.parametrize("p", [GridPoint(10**400, 0), GridPoint(0, 10**400), GridPoint(3, 10**400)])
+    def test_huge_exponent_is_budget_exceeded_not_overflow(self, pair23, p):
+        with pytest.raises(BudgetExceeded, match="exponent above the bit budget"):
+            value(pair23, p)
