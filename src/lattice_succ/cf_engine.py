@@ -153,23 +153,28 @@ def _band(table: ConvergentTable, seq: str, parity: int, c: int) -> tuple[int, i
     return n, t, rem
 
 
-def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterator[tuple[int, int, int]]:
-    """(n, t, start) of every band over seq that starts below limit.
+def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, t, h, k) of every mediant of one parity whose seq coordinate is below limit.
 
-    Bands of index n (of the given parity) start at seq[n] + t*seq[n+1] for
-    0 <= t < a_{n+2}, each seq[n+1] wide. The table grows only as far as the
-    last index these starts need.
+    h/k = (h_n + t*h_{n+1})/(k_n + t*k_{n+1}) for n of the given parity and
+    0 <= t < a_{n+2}: the primary convergent n at t = 0, its secondary
+    convergents after. Both coordinates strictly increase along the chain, so
+    a limit on one bounds the other. Band (n, t) over seq starts at seq's
+    coordinate and is seq[n+1] wide. The table grows only as far as the last
+    index these mediants need.
     """
-    values = table._h if seq == "h" else table._k
-    table.extend_to(parity)
+    a, h, k = table._a, table._h, table._k
+    values = h if seq == "h" else k
+    if len(k) <= parity:
+        table.extend_to(parity)
     n = parity
     while values[n] < limit:
-        table.extend_to(n + 2)
-        for t in range(table._a[n + 2]):
-            start = values[n] + t * values[n + 1]
-            if start >= limit:
-                break
-            yield n, t, start
+        if len(k) <= n + 2:
+            table.extend_to(n + 2)
+        h0, k0, dh, dk = h[n], k[n], h[n + 1], k[n + 1]
+        # t*seq[n+1] < limit - seq[n] exactly for t below the ceiling of their ratio
+        for t in range(min(a[n + 2], -((values[n] - limit) // values[n + 1]))):
+            yield n, t, h0 + t * dh, k0 + t * dk
         n += 2
 
 

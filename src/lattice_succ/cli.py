@@ -61,18 +61,9 @@ def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
     return 0
 
 
-def _cmd_next(args: argparse.Namespace, pair, out) -> int:
-    table = ConvergentTable(pair)
-    p = GridPoint(args.i, args.j)
-    q = next_point(table, p)
-    _emit_point(q, value(pair, q) if args.value else None, args.fmt, out)
-    return 0
-
-
-def _cmd_prev(args: argparse.Namespace, pair, out) -> int:
-    table = ConvergentTable(pair)
-    p = GridPoint(args.i, args.j)
-    q = prev_point(table, p)
+def _cmd_step(args: argparse.Namespace, pair, out) -> int:
+    step = next_point if args.command == "next" else prev_point
+    q = step(ConvergentTable(pair), GridPoint(args.i, args.j))
     _emit_point(q, value(pair, q) if args.value else None, args.fmt, out)
     return 0
 
@@ -238,8 +229,8 @@ def build_parser(budget_default: str) -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "cf": _cmd_cf,
-    "next": _cmd_next,
-    "prev": _cmd_prev,
+    "next": _cmd_step,
+    "prev": _cmd_step,
     "enum": _cmd_enum,
     "tile": _cmd_tile,
     "gaps": _cmd_gaps,

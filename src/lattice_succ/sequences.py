@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cf_engine import ConvergentTable
+from .cf_engine import ConvergentTable, _bands
 from .core_arith import (
     EQUAL,
     GREATER,
@@ -56,37 +56,33 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
     f(h_{2j} + t*h_{2j+1}) = k_{2j} + t*k_{2j+1} (g one less) for
     0 < t <= a_{2j+2}, and g(h_{2l-1} + t*h_{2l}) = k_{2l-1} + t*k_{2l}
     (f one more) for 0 <= t <= a_{2l+1}, over all levels within max_index.
+    The odd family checks both ends of each band, so an inner odd convergent
+    is checked twice.
     """
     table.extend_to(max_index + 1)
     pair = table.pair
+    a, h, k = table._a, table._h, table._k
     report = VerifyReport(ok=True, checked=0)
+    if max_index < 1:
+        return report  # no band ends within max_index + 1
 
-    def check(n: int, expected_f: int, expected_g: int, label: str) -> None:
+    def check(parity: int, base: int, t: int, n: int, kn: int) -> None:
         fn = f(pair, n)
-        gn = fn - 1  # g(n) = f(n) - 1 by definition
+        want = kn + parity  # f = k on the even family, g = f - 1 = k on the odd
         report.checked += 1
-        if fn != expected_f or gn != expected_g:
+        if fn != want:
+            label = f"even base 2j={base}" if parity == 0 else f"odd base 2l-1={base}"
             report.ok = False
             report.failures.append(
-                f"{label}: n={n}, f={fn} (want {expected_f}), g={gn} (want {expected_g})"
+                f"{label}, t={t}: n={n}, f={fn} (want {want}), g={fn - 1} (want {want - 1})"
             )
 
-    for j in range(0, (max_index - 1) // 2 + 1):
-        if 2 * j + 2 > max_index + 1:
-            break
-        for t in range(1, table.quotient(2 * j + 2) + 1):
-            n = table.h(2 * j) + t * table.h(2 * j + 1)
-            k = table.k(2 * j) + t * table.k(2 * j + 1)
-            check(n, k, k - 1, f"even base 2j={2 * j}, t={t}")
-
-    for l in range(1, max_index // 2 + 1):
-        if 2 * l + 1 > max_index + 1:
-            break
-        for t in range(0, table.quotient(2 * l + 1) + 1):
-            n = table.h(2 * l - 1) + t * table.h(2 * l)
-            k = table.k(2 * l - 1) + t * table.k(2 * l)
-            check(n, k + 1, k, f"odd base 2l-1={2 * l - 1}, t={t}")
-
+    for parity in (0, 1):
+        for base, t, hn, kn in _bands(table, "k", parity, k[_last(max_index + 1, parity)]):
+            if t or parity:  # the even family starts each band at t = 1
+                check(parity, base, t, hn, kn)
+            if t == a[base + 2] - 1:
+                check(parity, base, t + 1, h[base + 2], k[base + 2])
     return report
 
 
@@ -103,31 +99,22 @@ def check_strictly_decreasing(pair: GeneratorPair, forms: list[AffineForm]) -> V
     return report
 
 
-def _ceil_chain(table: ConvergentTable, max_index: int) -> list[tuple[int, int]]:
-    """(numerator, denominator) walk h_1, h_1+h_2, ..., h_3, ... up to max_index."""
-    chain = []
-    l = 1
-    while 2 * l + 1 <= max_index:
-        for t in range(table.quotient(2 * l + 1)):
-            chain.append(
-                (table.h(2 * l - 1) + t * table.h(2 * l), table.k(2 * l - 1) + t * table.k(2 * l))
-            )
-        l += 1
-    chain.append((table.h(2 * l - 1), table.k(2 * l - 1)))
-    return chain
+def _last(max_index: int, parity: int) -> int:
+    """Largest index of the given parity that is at most max_index."""
+    return max_index - (max_index - parity) % 2
 
 
-def _floor_chain(table: ConvergentTable, max_index: int) -> list[tuple[int, int]]:
-    """(numerator, denominator) walk h_0, h_0+h_1, ..., h_2, ... up to max_index."""
-    chain = []
-    j = 0
-    while 2 * j + 2 <= max_index:
-        for t in range(table.quotient(2 * j + 2)):
-            chain.append(
-                (table.h(2 * j) + t * table.h(2 * j + 1), table.k(2 * j) + t * table.k(2 * j + 1))
-            )
-        j += 1
-    chain.append((table.h(2 * j), table.k(2 * j)))
+def _chain(table: ConvergentTable, parity: int, max_index: int) -> list[tuple[int, int]]:
+    """(h, k) of the mediants of one parity up to the last convergent within max_index.
+
+    Parity 1 walks h_1, h_1+h_2, ..., h_3, ...; parity 0 walks h_0, h_0+h_1,
+    ..., h_2, .... The chain ends at the convergent `last`, the largest index
+    of that parity within max_index; the mediants before it are those with
+    k below k_last.
+    """
+    last = _last(max_index, parity)
+    chain = [(h, k) for _, _, h, k in _bands(table, "k", parity, table._k[last])]
+    chain.append((table._h[last], table._k[last]))
     return chain
 
 
@@ -137,10 +124,11 @@ def verify_monotone_fractional_chains(table: ConvergentTable, max_index: int) ->
     Ceil parts h - k*alpha along the odd-anchored chain, floor parts
     k*alpha - h along the even-anchored chain.
     """
-    table.extend_to(max(max_index, 1))
+    max_index = max(max_index, 1)
+    table.extend_to(max_index)
     pair = table.pair
-    ceil_forms = [AffineForm(-k, -h) for h, k in _ceil_chain(table, max_index)]
-    floor_forms = [AffineForm(k, h) for h, k in _floor_chain(table, max_index)]
+    ceil_forms = [AffineForm(-k, -h) for h, k in _chain(table, 1, max_index)]
+    floor_forms = [AffineForm(k, h) for h, k in _chain(table, 0, max_index)]
     r1 = check_strictly_decreasing(pair, ceil_forms)
     r2 = check_strictly_decreasing(pair, floor_forms)
     return VerifyReport(
@@ -200,41 +188,9 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
 
     n-chain: walk from h_0 = 0 by h_{2i-1} repeated a_{2i} times (i >= 1),
     dropping the initial 0; m-chain: walk from h_1 by h_{2i} repeated
-    a_{2i+1} times (i >= 1).
+    a_{2i+1} times (i >= 1). These walks visit exactly the even and the odd
+    mediant chains over h.
     """
-    n_chain: list[int] = []
-    x = 0
-    i = 1
-    while True:
-        table.extend_to(2 * i)
-        step = table.h(2 * i - 1)
-        done = False
-        for _ in range(table.quotient(2 * i)):
-            x += step
-            if x > N:
-                done = True
-                break
-            n_chain.append(x)
-        if done:
-            break
-        i += 1
-
-    m_chain: list[int] = []
-    x = table.h(1)
-    if x <= N:
-        m_chain.append(x)
-    i = 1
-    while True:
-        table.extend_to(2 * i + 1)
-        step = table.h(2 * i)
-        done = False
-        for _ in range(table.quotient(2 * i + 1)):
-            x += step
-            if x > N:
-                done = True
-                break
-            m_chain.append(x)
-        if done:
-            break
-        i += 1
+    n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]
+    m_chain = [h for _, _, h, _ in _bands(table, "h", 1, N + 1)]
     return n_chain, m_chain

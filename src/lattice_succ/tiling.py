@@ -63,23 +63,24 @@ def rectangles_in_window(
 ) -> list[Rectangle]:
     """All rectangles of the family-set intersecting [0, W) x [0, H).
 
-    Full (unclipped) extents are reported; stable-sorted by family, level,
-    band. A band over k runs along x and spans y < h_{n+1}; a band over h
-    runs along y and spans x < k_{n+1}. The source partition has A bands over
-    the odd k and P bands over the even h; the tilde partition swaps h and k.
+    Full (unclipped) extents are reported, ordered by family, level, band
+    (the order in which the bands are enumerated). A band over k runs along x
+    and spans y < h_{n+1}; a band over h runs along y and spans x < k_{n+1}.
+    The source partition has A bands over the odd k and P bands over the even
+    h; the tilde partition swaps h and k.
     """
     if W < 1 or H < 1:
         raise ValueError(f"window must be positive, got {W}x{H}")
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
+    hs, ks = table._h, table._k
     rects: list[Rectangle] = []
     for family, seq, parity in families:
-        for n, t, start in _bands(table, seq, parity, W if seq == "k" else H):
+        for n, t, h, k in _bands(table, seq, parity, W if seq == "k" else H):
             if seq == "k":
-                extents = (start, start + table.k(n + 1) - 1, 0, table.h(n + 1) - 1)
+                extents = (k, k + ks[n + 1] - 1, 0, hs[n + 1] - 1)
             else:
-                extents = (0, table.k(n + 1) - 1, start, start + table.h(n + 1) - 1)
+                extents = (0, ks[n + 1] - 1, h, h + hs[n + 1] - 1)
             rects.append(Rectangle(family, (n + 1) // 2, t, *extents))
-    rects.sort(key=lambda r: (r.family, r.level, r.band))
     return rects
 
 
@@ -140,18 +141,12 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
         if i < 1:
             raise ValueError("A-family witnesses need level >= 1")
         table.extend_to(2 * i + 1)
-        point = GridPoint(
-            table.k(2 * i - 1) + (table.quotient(2 * i + 1) - 1) * table.k(2 * i) + table.k(2 * i) - 1,
-            table.h(2 * i) - 1,
-        )
+        point = GridPoint(table.k(2 * i + 1) - 1, table.h(2 * i) - 1)
     elif family == "P":
         if i < 0:
             raise ValueError("P-family witnesses need level >= 0")
         table.extend_to(2 * i + 2)
-        point = GridPoint(
-            table.k(2 * i + 1) - 1,
-            table.h(2 * i) + (table.quotient(2 * i + 2) - 1) * table.h(2 * i + 1) + table.h(2 * i + 1) - 1,
-        )
+        point = GridPoint(table.k(2 * i + 1) - 1, table.h(2 * i + 2) - 1)
     else:
         raise ValueError(f"unknown family {family!r}")
     succ = next_point(table, point)

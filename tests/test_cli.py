@@ -19,6 +19,12 @@ def test_next_text_example():
     assert out.strip() == "(0,4) 81"
 
 
+def test_prev_text_example():
+    code, out = invoke(["prev", "--p1", "2", "--p2", "3", "--i", "0", "--j", "4", "--value"])
+    assert code == 0
+    assert out.strip() == "(3,2) 72"
+
+
 def test_next_without_value():
     code, out = invoke(["next", "--p1", "2", "--p2", "3", "--i", "0", "--j", "0"])
     assert code == 0

@@ -4,6 +4,7 @@ from lattice_succ import (
     GREATER,
     LESS,
     AffineForm,
+    ConvergentTable,
     compare_affine,
     frac_parts,
     minimal_fractional_subsequences,
@@ -11,10 +12,11 @@ from lattice_succ import (
     verify_fg_at_convergents,
     verify_monotone_fractional_chains,
 )
+from lattice_succ import sequences
 from lattice_succ.core_arith import ZERO_FORM
 from lattice_succ.sequences import check_strictly_decreasing
 
-from conftest import PAIR_ARGS, table_for
+from conftest import PAIR_ARGS, safe_depth, table_for
 
 
 class TestFracParts:
@@ -137,3 +139,135 @@ class TestMinimalFractionalSubsequences:
                 y_min = rec.y
                 m_rec.append(n)
         assert minimal_fractional_subsequences(table, N) == (n_rec, m_rec)
+
+
+# The convergent-chain walks written out index by index through the table
+# accessors: the references the band enumeration must reproduce, both in what
+# it returns and in how far it grows a fresh table.
+
+
+def ref_ceil_chain(table, max_index):
+    chain = []
+    l = 1
+    while 2 * l + 1 <= max_index:
+        for t in range(table.quotient(2 * l + 1)):
+            chain.append(
+                (table.h(2 * l - 1) + t * table.h(2 * l), table.k(2 * l - 1) + t * table.k(2 * l))
+            )
+        l += 1
+    chain.append((table.h(2 * l - 1), table.k(2 * l - 1)))
+    return chain
+
+
+def ref_floor_chain(table, max_index):
+    chain = []
+    j = 0
+    while 2 * j + 2 <= max_index:
+        for t in range(table.quotient(2 * j + 2)):
+            chain.append(
+                (table.h(2 * j) + t * table.h(2 * j + 1), table.k(2 * j) + t * table.k(2 * j + 1))
+            )
+        j += 1
+    chain.append((table.h(2 * j), table.k(2 * j)))
+    return chain
+
+
+def ref_record_indices(table, N):
+    n_chain = []
+    x = 0
+    i = 1
+    while True:
+        table.extend_to(2 * i)
+        step = table.h(2 * i - 1)
+        done = False
+        for _ in range(table.quotient(2 * i)):
+            x += step
+            if x > N:
+                done = True
+                break
+            n_chain.append(x)
+        if done:
+            break
+        i += 1
+
+    m_chain = []
+    x = table.h(1)
+    if x <= N:
+        m_chain.append(x)
+    i = 1
+    while True:
+        table.extend_to(2 * i + 1)
+        step = table.h(2 * i)
+        done = False
+        for _ in range(table.quotient(2 * i + 1)):
+            x += step
+            if x > N:
+                done = True
+                break
+            m_chain.append(x)
+        if done:
+            break
+        i += 1
+    return n_chain, m_chain
+
+
+def ref_fg_identities(table, max_index):
+    """(n, f, g, label) of every identity, in the order they are checked."""
+    table.extend_to(max_index + 1)
+    for j in range(0, (max_index - 1) // 2 + 1):
+        if 2 * j + 2 > max_index + 1:
+            break
+        for t in range(1, table.quotient(2 * j + 2) + 1):
+            k = table.k(2 * j) + t * table.k(2 * j + 1)
+            yield table.h(2 * j) + t * table.h(2 * j + 1), k, k - 1, f"even base 2j={2 * j}, t={t}"
+    for l in range(1, max_index // 2 + 1):
+        if 2 * l + 1 > max_index + 1:
+            break
+        for t in range(0, table.quotient(2 * l + 1) + 1):
+            k = table.k(2 * l - 1) + t * table.k(2 * l)
+            yield table.h(2 * l - 1) + t * table.h(2 * l), k + 1, k, f"odd base 2l-1={2 * l - 1}, t={t}"
+
+
+def fresh(table):
+    return ConvergentTable(table.pair)
+
+
+class TestChainWalksMatchReference:
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_fg_identities(self, p1, p2, monkeypatch):
+        table = table_for(p1, p2)
+        for max_index in range(0, safe_depth(table, 11)):
+            ref_table, new_table = fresh(table), fresh(table)
+            want = list(ref_fg_identities(ref_table, max_index))
+            report = verify_fg_at_convergents(new_table, max_index)
+            assert (report.ok, report.checked) == (True, len(want))
+            assert new_table.depth == ref_table.depth
+            # an f that is always wrong turns every identity into a failure line
+            monkeypatch.setattr(sequences, "f", lambda pair, n: -1)
+            bad = verify_fg_at_convergents(new_table, max_index)
+            monkeypatch.undo()
+            assert bad.failures == [
+                f"{label}: n={n}, f=-1 (want {fn}), g=-2 (want {gn})" for n, fn, gn, label in want
+            ]
+            assert (bad.ok, bad.checked) == (not want, len(want))
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_monotone_chains(self, p1, p2):
+        table = table_for(p1, p2)
+        for max_index in range(0, safe_depth(table, 10) + 1):
+            ref_table, new_table = fresh(table), fresh(table)
+            ref_table.extend_to(max(max_index, 1))
+            want = (ref_ceil_chain(ref_table, max_index), ref_floor_chain(ref_table, max_index))
+            report = verify_monotone_fractional_chains(new_table, max_index)
+            m = max(max_index, 1)
+            assert (sequences._chain(new_table, 1, m), sequences._chain(new_table, 0, m)) == want
+            assert report.ok and report.checked == len(want[0]) + len(want[1]) - 2
+            assert new_table.depth == ref_table.depth
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    @pytest.mark.parametrize("N", [1, 2, 3, 45, 400, 5000])
+    def test_predicted_record_indices(self, p1, p2, N):
+        table = table_for(p1, p2)
+        ref_table, new_table = fresh(table), fresh(table)
+        assert predicted_record_indices(new_table, N) == ref_record_indices(ref_table, N)
+        assert new_table.depth == ref_table.depth

@@ -1,6 +1,7 @@
 import pytest
 
 from lattice_succ import (
+    ConvergentTable,
     GridPoint,
     enumerate_sorted,
     next_point,
@@ -8,7 +9,7 @@ from lattice_succ import (
     value,
     verify_partition,
 )
-from lattice_succ.tiling import large_gap
+from lattice_succ.tiling import Rectangle, large_gap
 
 from conftest import PAIR_ARGS, table_for
 
@@ -51,6 +52,42 @@ class TestRectanglesInWindow:
     def test_rejects_empty_window(self, table23):
         with pytest.raises(ValueError):
             rectangles_in_window(table23, 0, 5)
+
+
+def ref_rectangles(table, W, H, tilde):
+    """The band walk written out through the table accessors, then sorted."""
+    families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
+    rects = []
+    for family, seq, parity in families:
+        coord = table.h if seq == "h" else table.k
+        limit = W if seq == "k" else H
+        table.extend_to(parity)
+        n = parity
+        while coord(n) < limit:
+            table.extend_to(n + 2)
+            for t in range(table.quotient(n + 2)):
+                start = coord(n) + t * coord(n + 1)
+                if start >= limit:
+                    break
+                if seq == "k":
+                    extents = (start, start + table.k(n + 1) - 1, 0, table.h(n + 1) - 1)
+                else:
+                    extents = (0, table.k(n + 1) - 1, start, start + table.h(n + 1) - 1)
+                rects.append(Rectangle(family, (n + 1) // 2, t, *extents))
+            n += 2
+    rects.sort(key=lambda r: (r.family, r.level, r.band))
+    return rects
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+@pytest.mark.parametrize("tilde", [False, True])
+def test_rectangles_match_reference_walk(p1, p2, tilde):
+    pair = table_for(p1, p2).pair
+    for W, H in [(1, 1), (3, 1), (1, 3), (7, 150), (150, 7), (40, 40), (333, 17), (200, 200)]:
+        ref_table, new_table = ConvergentTable(pair), ConvergentTable(pair)
+        assert rectangles_in_window(new_table, W, H, tilde) == ref_rectangles(ref_table, W, H, tilde)
+        # the enumeration grows a fresh table exactly as far as the walk does
+        assert new_table.depth == ref_table.depth
 
 
 class TestVerifyPartition:
@@ -113,6 +150,13 @@ class TestLargeGap:
             w = large_gap(table23, level, family=family)
             assert w.gap >= 1
             assert w.succ == next_point(table23, w.point)
+            # the witness is the far corner of the level's last band
+            last = [
+                r
+                for r in rectangles_in_window(table23, w.point.i + 1, w.point.j + 1)
+                if (r.family, r.level) == (family, level)
+            ][-1]
+            assert (last.x_max, last.y_max) == w.point
 
     def test_bad_arguments(self, table23):
         with pytest.raises(ValueError):
