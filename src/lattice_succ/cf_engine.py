@@ -3,7 +3,8 @@
 The partial quotients are discovered by exact Stern-Brocot descent: the next
 quotient a_{m+1} is the largest t for which the mediant
 (h_{m-1} + t*h_m)/(k_{m-1} + t*k_m) still lies on the same side of alpha as
-convergent m-1, each probe a single big-integer power comparison.
+convergent m-1, each probe one exact `compare_fraction` (a certified float or
+decimal-log comparison, big-integer powers only for the smallest operands).
 """
 
 from __future__ import annotations
@@ -181,17 +182,15 @@ def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterato
 def secondary_convergents(table: ConvergentTable, level: int) -> list[SecondaryConvergent]:
     """Mediant chain strictly between convergents `level` and `level + 2`.
 
-    Empty when a_{level+2} == 1.
+    The t > 0 mediants of band `level` in `_bands`; empty when a_{level+2} == 1.
     """
     if level < 0 or level + 2 > table.depth:
         raise IndexBeyondTable(
             f"secondary convergents at level {level} need depth {level + 2}, "
             f"table has {table.depth}"
         )
-    a = table.quotient(level + 2)
-    h_base, k_base = table.h(level), table.k(level)
-    h_next, k_next = table.h(level + 1), table.k(level + 1)
     return [
-        SecondaryConvergent(h_base + t * h_next, k_base + t * k_next, level, t)
-        for t in range(1, a)
+        SecondaryConvergent(h, k, n, t)
+        for n, t, h, k in _bands(table, "k", level % 2, table._k[level + 2])
+        if n == level and t
     ]

@@ -1,9 +1,12 @@
 """Exact order decisions against alpha = log(p1)/log(p2).
 
 Every comparison in this package bottoms out in one primitive here,
-`_affine_sign`, and finally in big-integer power comparisons: h/k < alpha
-iff p2**h < p1**k. No floating point result is ever trusted unless its
-error bound certifies the sign.
+`_affine_sign`: h/k < alpha iff k*ln(p1) - h*ln(p2) > 0. A float log
+comparison settles the sign when its error margin certifies it; otherwise
+correctly rounded decimal logs do, at doubling precision, until their
+error bound certifies it; only once those logs would be as wide as the
+powers themselves does a big-integer comparison p2**h < p1**k decide. No
+approximate result is ever trusted unless its error bound certifies the sign.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 LESS = -1
 EQUAL = 0
@@ -23,6 +26,8 @@ DEFAULT_BIT_BUDGET = 1_000_000
 # margin (double rounding is ~2e-16 per op; 1e-12 leaves a wide moat).
 _FLOAT_REL_MARGIN = 1e-12
 _FLOAT_ABS_MARGIN = 1e-9
+
+_LOG2_10 = math.log2(10)
 
 
 class LatticeError(Exception):
@@ -133,8 +138,11 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
     """Exact sign of dk*alpha - dn, which is the sign of p1**dk / p2**dn - 1.
 
     The one order decision of the package: the bit-budget check, the
-    certified float pre-filter on the bit counts, the big-integer fallback
-    and the tie that irrationality forbids all live here.
+    certified float pre-filter on the bit counts, the certified decimal-log
+    comparison, the big-integer fallback and the tie that irrationality
+    forbids all live here. The budget still refuses a comparison whose
+    powers would exceed it, although the powers are built only when the
+    logs are as wide as they are.
     """
     s = 1
     if dk < 0:  # decide the sign of the negated form, which has dk > 0
@@ -159,12 +167,51 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
         return s
     if gap < -margin:
         return -s
+    prec = 2 * (len(str(dk)) + len(str(dn))) + 10
+    while prec * _LOG2_10 < bits:
+        sign = _log_sign(pair.p1, pair.p2, dk, dn, prec)
+        if sign:
+            return s * sign
+        prec *= 2
+    # Logs as wide as the powers cost as much as the powers, which also
+    # settle a tie: equal powers mean a dependent pair, so this ends the loop.
     lhs, rhs = pair.p1**dk, pair.p2**dn
     if lhs == rhs:
         raise RationalLogRatio(
             f"p1**{dk} == p2**{dn}: generators are not multiplicatively independent"
         )
     return s if lhs > rhs else -s
+
+
+@lru_cache(maxsize=256)
+def _ln(p: int, prec: int) -> tuple[int, int]:
+    """ln(p) correctly rounded to prec digits, as (n, u): |ln(p) - n*10**u| <= 10**u / 2."""
+    import decimal  # only this path needs it, so `import lattice_succ` does not load it
+
+    ctx = decimal.Context(prec=prec)
+    ln = ctx.ln(p)
+    u = ln.adjusted() - prec + 1  # exponent of the last digit, from the real exponent
+    return int(ln.scaleb(-u, ctx)), u
+
+
+def _log_sign(p1: int, p2: int, dk: int, dn: int, prec: int) -> int:
+    """Sign of dk*ln(p1) - dn*ln(p2) for dk, dn > 0 from prec-digit logs; EQUAL if undecided.
+
+    The difference of the rounded logs is formed exactly in units of the
+    finer last digit, and its sign is trusted only when it exceeds the sum of
+    the two rounding errors, dk*e1 + dn*e2 with e_i half a last digit.
+    """
+    n1, u1 = _ln(p1, prec)
+    n2, u2 = _ln(p2, prec)
+    u = min(u1, u2)
+    w1, w2 = 10 ** (u1 - u), 10 ** (u2 - u)
+    twice_diff = 2 * (dk * n1 * w1 - dn * n2 * w2)
+    twice_error = dk * w1 + dn * w2
+    if twice_diff > twice_error:
+        return GREATER
+    if twice_diff < -twice_error:
+        return LESS
+    return EQUAL
 
 
 def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:

@@ -189,8 +189,10 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
     n-chain: walk from h_0 = 0 by h_{2i-1} repeated a_{2i} times (i >= 1),
     dropping the initial 0; m-chain: walk from h_1 by h_{2i} repeated
     a_{2i+1} times (i >= 1). These walks visit exactly the even and the odd
-    mediant chains over h.
+    mediant chains over h. N < 1 raises ValueError, as the record scan does.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]
     m_chain = [h for _, _, h, _ in _bands(table, "h", 1, N + 1)]
     return n_chain, m_chain

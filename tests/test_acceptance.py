@@ -152,6 +152,7 @@ def test_criterion_7_arbitrarily_large_gaps():
     report("7 large-gaps", f"levels 1..6 gap bit lengths {[g.bit_length() for g in gaps]}")
 
 
+@pytest.mark.slow
 def test_criterion_8_performance_sanity():
     table = table_for(2, 3)
     pair = table.pair

@@ -1,14 +1,19 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lattice_succ
 from lattice_succ import (
     EQUAL,
     GREATER,
     LESS,
     AffineForm,
     BudgetExceeded,
+    ConvergentTable,
     GeneratorPair,
     LatticeError,
     NonIntegerArgument,
@@ -20,10 +25,12 @@ from lattice_succ import (
     g,
     validate_pair,
 )
+from lattice_succ import core_arith
 from lattice_succ.core_arith import (
     _FLOAT_ABS_MARGIN,
     _FLOAT_REL_MARGIN,
     ZERO_FORM,
+    _affine_sign,
     _f_search,
     affine_sign,
     perfect_power_base,
@@ -137,7 +144,7 @@ class TestCompareAffine:
     def test_fraction_is_negated_affine_sign_on_exact_path(self, args, depth):
         # Convergents up to the deepest one the default budget reaches, and
         # their neighbours: the last bit gaps are narrower than the float
-        # margin, so their order comes from big-integer powers.
+        # margin, so their order comes from the exact path.
         pair = pair_for(*args)
         table = table_for(*args).extend_to(depth)
         lp1, lp2 = math.log2(pair.p1), math.log2(pair.p2)
@@ -257,3 +264,122 @@ def test_generator_pair_is_hashable_and_frozen():
     assert hash(pair) == hash(GeneratorPair(2, 3))
     with pytest.raises(AttributeError):
         pair.p1 = 5
+
+
+def _extend_to_wall(table):
+    """Extend row by row until the bit budget refuses a probe; its message."""
+    while True:
+        try:
+            table.extend_to(table.depth + 1)
+        except BudgetExceeded as exc:
+            return str(exc)
+
+
+def _spy_log_sign(monkeypatch):
+    """Record (dk, dn, prec, sign) of every decimal-log decision attempt."""
+    calls = []
+    log_sign = core_arith._log_sign
+
+    def spy(p1, p2, dk, dn, prec):
+        sign = log_sign(p1, p2, dk, dn, prec)
+        calls.append((dk, dn, prec, sign))
+        return sign
+
+    monkeypatch.setattr(core_arith, "_log_sign", spy)
+    return calls
+
+
+def _power_sign(pair, dk, dn):
+    return GREATER if pair.p1**dk > pair.p2**dn else LESS
+
+
+class TestCertifiedLogPath:
+    @pytest.mark.parametrize("float_filter", ["on", "off"])
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_table_to_the_wall_matches_big_int_reference(self, p1, p2, float_filter, monkeypatch):
+        # With the float filter off, every probe above a few dozen bits goes
+        # through the decimal logs, not only the few the filter cannot settle.
+        pair = pair_for(p1, p2)
+        if float_filter == "off":
+            monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
+        calls = _spy_log_sign(monkeypatch)
+        table = ConvergentTable(pair)
+        message = _extend_to_wall(table)
+        for dk, dn, _, sign in calls:
+            if sign != EQUAL:
+                assert sign == _power_sign(pair, dk, dn)
+        if float_filter == "off":
+            assert any(sign != EQUAL for *_, sign in calls)
+        # The reference: no decimal decision, so big-integer powers settle
+        # every comparison the float filter leaves open.
+        monkeypatch.setattr(core_arith, "_log_sign", lambda *args: EQUAL)
+        reference = ConvergentTable(pair)
+        assert _extend_to_wall(reference) == message
+        assert (table.depth, table.quotients) == (reference.depth, reference.quotients)
+        assert table.convergents == reference.convergents
+
+    @pytest.mark.parametrize("p1,p2", [(2, 3**100), (2, 10**400), (3**100, 2**200 + 1)])
+    def test_logs_above_100_at_convergents(self, p1, p2, monkeypatch):
+        # ln(p2) > 100, so the last digit's place comes from the log's own
+        # exponent. The float filter is switched off, since at convergents the
+        # budget reaches it settles nearly everything.
+        pair = validate_pair(p1, p2)
+        assert math.log(p2) > 100
+        table = ConvergentTable(pair)
+        _extend_to_wall(table)
+        assert table.depth >= 4
+        monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
+        calls = _spy_log_sign(monkeypatch)
+        for i in range(1, table.depth + 1):
+            h, k = table.h(i), table.k(i)
+            for dk, dn in ((k, h), (k, h - 1), (k, h + 1), (k - 1, h), (k + 1, h)):
+                if dk <= 0 or dn <= 0 or max(dk * math.log2(p1), dn * math.log2(p2)) > pair.bit_budget:
+                    continue
+                assert _affine_sign(pair, dk, dn) == _power_sign(pair, dk, dn)
+                assert _affine_sign(pair, -dk, -dn) == -_power_sign(pair, dk, dn)
+        assert any(sign != EQUAL for *_, sign in calls)
+
+    @pytest.mark.parametrize("p", [2, 3, 10**40 + 3, 3**100, 10**400])
+    @pytest.mark.parametrize("prec", [14, 34, 136])
+    def test_ln_is_within_half_a_last_digit(self, p, prec):
+        import decimal
+
+        n, u = core_arith._ln(p, prec)
+        assert len(str(n)) == prec
+        wide = decimal.Context(prec=prec + 30)
+        err = abs(wide.ln(p) - wide.scaleb(decimal.Decimal(n), u))
+        assert 2 * err <= wide.scaleb(decimal.Decimal(1), u)
+
+    def test_precision_doubles_until_decided(self, monkeypatch):
+        # ln(p1) and ln(p2) agree to 40 digits, so the float logs are equal and
+        # the first decimal precision cannot separate 1000*ln(p1) from 1000*ln(p2).
+        pair = validate_pair(10**40 + 1, 10**40 + 3)
+        calls = _spy_log_sign(monkeypatch)
+        assert _affine_sign(pair, 1000, 1000) == LESS
+        assert [sign for *_, sign in calls] == [EQUAL, LESS]
+        assert calls[1][2] == 2 * calls[0][2]
+        assert _affine_sign(pair, 1000, 999) == _power_sign(pair, 1000, 999)
+
+    @pytest.mark.parametrize("dk,dn", [(2, 1), (2000, 1000)])
+    def test_dependent_pair_ends_in_a_tie(self, dk, dn, monkeypatch):
+        # Built directly, bypassing validate_pair: the logs never separate, and
+        # the big-integer fallback finds p1**dk == p2**dn.
+        calls = _spy_log_sign(monkeypatch)
+        with pytest.raises(RationalLogRatio):
+            _affine_sign(GeneratorPair(2, 4), dk, dn)
+        assert all(sign == EQUAL for *_, sign in calls)
+        assert (len(calls) > 0) == (dk > 2)
+
+    def test_import_does_not_load_decimal(self):
+        code = (
+            "import sys, lattice_succ\n"
+            "print('decimal' in sys.modules)\n"
+            "lattice_succ.ConvergentTable(lattice_succ.validate_pair(2, 3)).extend_to(14)\n"
+            "print('decimal' in sys.modules)\n"
+        )
+        src = str(Path(lattice_succ.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, cwd=src, check=True,
+        )
+        assert done.stdout.split() == ["False", "True"]

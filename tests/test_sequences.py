@@ -96,6 +96,11 @@ class TestMinimalFractionalSubsequences:
         with pytest.raises(ValueError):
             minimal_fractional_subsequences(table23, 0)
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_prediction_rejects_nonpositive(self, table23, N):
+        with pytest.raises(ValueError, match="N must be positive"):
+            predicted_record_indices(table23, N)
+
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_records_equal_predicted_chains(self, p1, p2):
         table = table_for(p1, p2)
