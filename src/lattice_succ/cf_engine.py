@@ -17,8 +17,10 @@ from typing import Iterator
 from .core_arith import (
     GREATER,
     LESS,
+    BudgetExceeded,
     GeneratorPair,
     LatticeError,
+    _integer,
     compare_fraction,
 )
 
@@ -45,6 +47,11 @@ class ConvergentTable:
     depth is read from k, so a reader never sees a partial row. Extension
     holds a per-table lock and re-checks the depth under it; lookups take no
     lock.
+
+    The probes for row depth+1 depend only on the stored rows and the pair,
+    so a row the bit budget refused is refused again on every attempt. The
+    table remembers that refusal and answers a later need for a row past it
+    with a fresh BudgetExceeded of the same message, without comparing again.
     """
 
     def __init__(self, pair: GeneratorPair):
@@ -53,6 +60,7 @@ class ConvergentTable:
         self._h = [0]
         self._k = [1]
         self._lock = threading.Lock()
+        self._wall: str | None = None  # message of the BudgetExceeded that refused row depth+1
 
     @property
     def depth(self) -> int:
@@ -83,9 +91,12 @@ class ConvergentTable:
 
     def extend_to(self, i: int) -> "ConvergentTable":
         """Ensure quotients and convergents through index i are stored."""
-        with self._lock:
-            while len(self._k) <= i:
-                self._append_row()
+        i = _integer(i, "index")
+        if len(self._k) <= i:
+            self._check_wall()
+            with self._lock:
+                while len(self._k) <= i:
+                    self._append_row()
         return self
 
     def extend_until(self, above: int, seq: str = "k", parity: int = 1) -> "ConvergentTable":
@@ -93,10 +104,16 @@ class ConvergentTable:
         if seq not in ("h", "k"):
             raise ValueError(f"seq must be 'h' or 'k', got {seq!r}")
         values = self._h if seq == "h" else self._k
-        with self._lock:
-            while not _last_exceeds(values, len(self._k) - 1, parity, above):
-                self._append_row()
+        if not _last_exceeds(values, len(self._k) - 1, parity, above):
+            self._check_wall()
+            with self._lock:
+                while not _last_exceeds(values, len(self._k) - 1, parity, above):
+                    self._append_row()
         return self
+
+    def _check_wall(self) -> None:
+        if self._wall is not None:  # fresh: re-raising one instance would grow its traceback
+            raise BudgetExceeded(self._wall)
 
     def _append_row(self) -> None:
         m = len(self._k) - 1
@@ -112,17 +129,21 @@ class ConvergentTable:
             return compare_fraction(self.pair, hp + t * hm, kp + t * km)
 
         # The mediants stay on side_prev exactly for 1 <= t <= a_{m+1}.
-        hi = 1
-        while side(2 * hi) == side_prev:
-            hi *= 2
-        lo = hi  # side(lo) == side_prev, side(2*hi) flipped
-        hi = 2 * hi
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if side(mid) == side_prev:
-                lo = mid
-            else:
-                hi = mid
+        try:
+            hi = 1
+            while side(2 * hi) == side_prev:
+                hi *= 2
+            lo = hi  # side(lo) == side_prev, side(2*hi) flipped
+            hi = 2 * hi
+            while lo + 1 < hi:
+                mid = (lo + hi) // 2
+                if side(mid) == side_prev:
+                    lo = mid
+                else:
+                    hi = mid
+        except BudgetExceeded as exc:
+            self._wall = str(exc)  # written under the lock
+            raise
         a = lo
         self._a.append(a)
         self._h.append(hp + a * hm)
@@ -184,6 +205,7 @@ def secondary_convergents(table: ConvergentTable, level: int) -> list[SecondaryC
 
     The t > 0 mediants of band `level` in `_bands`; empty when a_{level+2} == 1.
     """
+    level = _integer(level, "level")
     if level < 0 or level + 2 > table.depth:
         raise IndexBeyondTable(
             f"secondary convergents at level {level} need depth {level + 2}, "

@@ -10,8 +10,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from .core_arith import LESS, AffineForm, GeneratorPair, ZERO_FORM, compare_affine
-from .successor import GridPoint, _check_value_budget, value
+from .core_arith import LESS, AffineForm, GeneratorPair, ZERO_FORM, _integer, compare_affine
+from .successor import GridPoint, _check_value_budget, _coords, value
 
 
 class _AffineKey:
@@ -66,6 +66,7 @@ class SortedStream:
 
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
     """First `count` elements of S as (coordinates, exact value); refuses where value() would."""
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     stream = SortedStream(pair)
@@ -79,6 +80,7 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
 
 def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:
     """Successor of p by fresh enumeration until value(p) is passed."""
+    i, j = _coords(p)
     if key == "value":
         target = value(pair, p)
         stream = SortedStream(pair)
@@ -86,7 +88,7 @@ def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoi
             if stream.last_value > target:
                 return q
     else:
-        target = _AffineKey(pair, p.i, p.j)
+        target = _AffineKey(pair, i, j)
         for q in SortedStream(pair, key="affine"):
             if target < _AffineKey(pair, q.i, q.j):
                 return q

@@ -17,6 +17,7 @@ from .core_arith import (
     GeneratorPair,
     InternalConsistencyError,
     _affine_sign,
+    _integer,
     compare_affine,
     f,
 )
@@ -59,6 +60,7 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
     The odd family checks both ends of each band, so an inner odd convergent
     is checked twice.
     """
+    max_index = _integer(max_index, "max_index")
     table.extend_to(max_index + 1)
     pair = table.pair
     a, h, k = table._a, table._h, table._k
@@ -124,7 +126,7 @@ def verify_monotone_fractional_chains(table: ConvergentTable, max_index: int) ->
     Ceil parts h - k*alpha along the odd-anchored chain, floor parts
     k*alpha - h along the even-anchored chain.
     """
-    max_index = max(max_index, 1)
+    max_index = max(_integer(max_index, "max_index"), 1)
     table.extend_to(max_index)
     pair = table.pair
     ceil_forms = [AffineForm(-k, -h) for h, k in _chain(table, 1, max_index)]
@@ -150,6 +152,7 @@ def minimal_fractional_subsequences(
     lists. Returns the two index lists. A tie between distinct indices is
     impossible for irrational alpha and raises InternalConsistencyError.
     """
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     pair = table.pair
@@ -191,6 +194,7 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
     a_{2i+1} times (i >= 1). These walks visit exactly the even and the odd
     mediant chains over h. N < 1 raises ValueError, as the record scan does.
     """
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]

@@ -10,12 +10,11 @@ predecessor.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _band
-from .core_arith import BudgetExceeded, GeneratorPair, InternalConsistencyError, LatticeError
+from .core_arith import BudgetExceeded, GeneratorPair, InternalConsistencyError, LatticeError, _integer
 
 
 class NoPredecessor(LatticeError):
@@ -72,8 +71,9 @@ def rectangle_point(table: ConvergentTable, rid: RectangleId) -> GridPoint:
 
 
 def _coords(p) -> tuple[int, int]:
-    """Integer coordinates of p; anything without __index__ raises TypeError."""
-    x, y = map(operator.index, p)
+    """Integer coordinates of p; anything without __index__ raises NonIntegerArgument."""
+    i, j = p
+    x, y = _integer(i, "i"), _integer(j, "j")
     if x < 0 or y < 0:
         raise ValueError(f"grid point must be non-negative, got {tuple(p)}")
     return x, y
@@ -144,6 +144,7 @@ def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     """The n successors of p in sorted S: next_point iterated n times in one call."""
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     x, y = _coords(p)
@@ -185,5 +186,6 @@ def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
 
 def value(pair: GeneratorPair, p: GridPoint) -> int:
     """Exact integer p1**i * p2**j."""
-    _check_value_budget(pair, p.i, p.j)
-    return pair.p1**p.i * pair.p2**p.j
+    i, j = _coords(p)
+    _check_value_budget(pair, i, j)
+    return pair.p1**i * pair.p2**j

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cf_engine import ConvergentTable, _bands
+from .core_arith import _integer
 from .successor import GridPoint, next_point, value
 
 
@@ -69,6 +70,7 @@ def rectangles_in_window(
     The source partition has A bands over the odd k and P bands over the even
     h; the tilde partition swaps h and k.
     """
+    W, H = _integer(W, "W"), _integer(H, "H")
     if W < 1 or H < 1:
         raise ValueError(f"window must be positive, got {W}x{H}")
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
@@ -93,6 +95,7 @@ def verify_partition(
     column is a bitmask over y: a cell painted twice is recorded as doubly
     covered, and every column must end equal to its expected mask.
     """
+    W, H = _integer(W, "W"), _integer(H, "H")
     rects = rectangles_in_window(table, W, H, tilde)
     painted = [0] * W
     doubled = [0] * W
@@ -136,7 +139,7 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
     The successor follows from the rectangle translation; the gap is the
     exact integer difference of the two values.
     """
-    i = level
+    i = _integer(level, "level")
     if family == "A":
         if i < 1:
             raise ValueError("A-family witnesses need level >= 1")
@@ -151,4 +154,4 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
         raise ValueError(f"unknown family {family!r}")
     succ = next_point(table, point)
     gap = value(table.pair, succ) - value(table.pair, point)
-    return GapWitness(level=level, family=family, point=point, succ=succ, gap=gap)
+    return GapWitness(level=i, family=family, point=point, succ=succ, gap=gap)

@@ -1,16 +1,25 @@
 import math
+import random
 import sys
 import threading
+import traceback
 
 import pytest
 
 from lattice_succ import (
+    DEFAULT_BIT_BUDGET,
     GREATER,
     LESS,
+    BudgetExceeded,
     ConvergentTable,
+    GridPoint,
     IndexBeyondTable,
     compare_fraction,
+    core_arith,
+    next_point,
+    prev_point,
     secondary_convergents,
+    validate_pair,
 )
 
 from conftest import PAIR_ARGS, pair_for, safe_depth, table_for
@@ -186,3 +195,138 @@ def test_monotone_secondary_chain(table23):
     ]
     for (h1, k1), (h2, k2) in zip(fracs, fracs[1:]):
         assert h1 * k2 < h2 * k1
+
+
+def _refusal(call):
+    """(type, message) of the BudgetExceeded that call raises."""
+    with pytest.raises(BudgetExceeded) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def _hit_wall(table):
+    """Extend row by row until the budget refuses; (type, message, depth) of that refusal."""
+    while True:
+        try:
+            table.extend_to(table.depth + 1)
+        except BudgetExceeded as exc:
+            return type(exc), str(exc), table.depth
+
+
+def _past_wall(table):
+    """A grid point whose band in both the source and the tilde search lies past the table."""
+    return GridPoint(0, max(table._h) + 1)
+
+
+def _count_affine_sign(monkeypatch):
+    calls = []
+    real = core_arith._affine_sign
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core_arith, "_affine_sign", spy)
+    return calls
+
+
+class TestRememberedWall:
+    @pytest.mark.parametrize("budget", [DEFAULT_BIT_BUDGET, 64, 400])
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_repeated_refusals_match_the_first(self, p1, p2, budget):
+        pair = validate_pair(p1, p2, bit_budget=budget)
+        first = _hit_wall(ConvergentTable(pair))
+        table = ConvergentTable(pair)
+        assert _hit_wall(table) == first
+        kind, message, depth = first
+        past = _past_wall(table)
+        for _ in range(3):
+            assert _refusal(lambda: table.extend_to(depth + 1)) == (kind, message)
+            assert _refusal(lambda: table.extend_to(depth + 40)) == (kind, message)
+            assert _refusal(lambda: table.extend_until(max(table._k), "k", depth % 2)) == (kind, message)
+            assert _refusal(lambda: next_point(table, past)) == (kind, message)
+            assert _refusal(lambda: prev_point(table, past)) == (kind, message)
+            assert _hit_wall(table) == first
+        assert table.depth == depth
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_known_wall_makes_no_comparison(self, p1, p2, monkeypatch):
+        table = ConvergentTable(validate_pair(p1, p2))
+        calls = _count_affine_sign(monkeypatch)
+        _, message, depth = _hit_wall(table)
+        assert calls  # the first refusal compared
+        calls.clear()
+        past = _past_wall(table)
+        for call in (
+            lambda: table.extend_to(depth + 1),
+            lambda: table.extend_until(max(table._k), "k", 0),
+            lambda: table.extend_until(max(table._h), "h", 1),
+            lambda: next_point(table, past),
+            lambda: prev_point(table, past),
+        ):
+            assert _refusal(call) == (BudgetExceeded, message)
+        assert calls == []
+        assert table.depth == depth
+
+    def test_threads_share_one_refusal(self):
+        pair = validate_pair(2, 3)
+        _, message, depth = _hit_wall(ConvergentTable(pair))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                table = ConvergentTable(pair)
+                seen = []
+
+                def hit():
+                    for _ in range(20):
+                        try:
+                            table.extend_to(depth + 5)
+                        except Exception as exc:  # checked below; a thread's raise is otherwise lost
+                            seen.append((type(exc), str(exc)))
+
+                threads = [threading.Thread(target=hit) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert seen == [(BudgetExceeded, message)] * 80
+                assert table.depth == depth
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_traceback_does_not_grow(self):
+        table = ConvergentTable(validate_pair(2, 3))
+        _hit_wall(table)
+        frames, previous = set(), None
+        for _ in range(1000):
+            try:
+                table.extend_to(table.depth + 1)
+            except BudgetExceeded as exc:
+                assert exc is not previous
+                frames.add(len(traceback.extract_tb(exc.__traceback__)))
+                previous = exc
+        assert len(frames) == 1 and frames.pop() <= 3
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_answers_match_a_fresh_table(self, p1, p2):
+        pair = validate_pair(p1, p2)
+        walled = ConvergentTable(pair)
+        _hit_wall(walled)
+        rng = random.Random(p1 * 100 + p2)
+
+        def outcome(query, table, p):
+            try:
+                return query(table, p)
+            except BudgetExceeded as exc:
+                return type(exc), str(exc)
+
+        answered = 0
+        for _ in range(60):
+            p = GridPoint(*(int(10 ** rng.uniform(2, 6)) for _ in range(2)))
+            for query in (next_point, prev_point):
+                got = outcome(query, walled, p)
+                assert got == outcome(query, ConvergentTable(pair), p)
+                answered += isinstance(got, GridPoint)
+        assert answered  # some of the points lie below the wall

@@ -5,18 +5,29 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_succ import (
     BudgetExceeded,
+    ConvergentTable,
     GridPoint,
     NoPredecessor,
+    NonIntegerArgument,
     RectangleId,
     enumerate_sorted,
+    large_gap,
     locate,
     locate_tilde,
+    minimal_fractional_subsequences,
+    naive_next,
     next_point,
+    predicted_record_indices,
     prev_point,
     rectangle_point,
+    rectangles_in_window,
+    secondary_convergents,
     translation,
     validate_pair,
     value,
+    verify_fg_at_convergents,
+    verify_monotone_fractional_chains,
+    verify_partition,
     walk,
 )
 
@@ -217,3 +228,36 @@ class TestValue:
     def test_huge_exponent_is_budget_exceeded_not_overflow(self, pair23, p):
         with pytest.raises(BudgetExceeded, match="exponent above the bit budget"):
             value(pair23, p)
+
+
+
+_pair23 = validate_pair(2, 3)
+_table23 = table_for(2, 3)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (walk, (_table23, GridPoint(3, 2), 2.0)),
+        (next_point, (_table23, GridPoint(2, 2.0))),
+        (prev_point, (_table23, GridPoint(1.5, 2))),
+        (value, (_pair23, GridPoint(0, 40.0))),
+        (enumerate_sorted, (_pair23, 2.0)),
+        (naive_next, (_pair23, GridPoint(2.5, 1), "affine")),
+        (naive_next, (_pair23, GridPoint(2.5, 1), "value")),
+        (ConvergentTable.extend_to, (_table23, 2.5)),
+        (secondary_convergents, (_table23, 1.0)),
+        (rectangles_in_window, (_table23, 2.5, 3)),
+        (verify_partition, (_table23, 5, 2.5)),
+        (large_gap, (_table23, 1.5)),
+        (predicted_record_indices, (_table23, 2.0)),
+        (minimal_fractional_subsequences, (_table23, 2.0)),
+        (verify_fg_at_convergents, (_table23, 2.0)),
+        (verify_monotone_fractional_chains, (_table23, 2.0)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v[1:]),
+)
+def test_non_integer_arguments_are_typed(fn, args):
+    # NonIntegerArgument is a TypeError, so callers catching TypeError still do.
+    with pytest.raises(NonIntegerArgument):
+        fn(*args)
