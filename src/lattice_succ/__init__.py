@@ -1,6 +1,6 @@
 """Exact successor/predecessor queries in two-generator multiplicatively closed sets."""
 
-from .cf_engine import ConvergentTable, IndexBeyondTable, SecondaryConvergent, secondary_convergents
+from .cf_engine import ConvergentTable, IndexBeyondTable
 from .core_arith import (
     DEFAULT_BIT_BUDGET,
     EQUAL,
@@ -21,8 +21,6 @@ from .core_arith import (
 )
 from .oracle import SortedStream, enumerate_sorted, naive_next
 from .sequences import (
-    FracPartRecord,
-    frac_parts,
     minimal_fractional_subsequences,
     predicted_record_indices,
     verify_fg_at_convergents,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core_arith import (
@@ -27,16 +26,6 @@ from .core_arith import (
 
 class IndexBeyondTable(LatticeError, IndexError):
     """Requested a convergent index the table has not been extended to."""
-
-
-@dataclass(frozen=True)
-class SecondaryConvergent:
-    """Mediant (h_base + t*h_next)/(k_base + t*k_next), 0 < t < a_{base+2}."""
-
-    numerator: int
-    denominator: int
-    base_index: int
-    t: int
 
 
 class ConvergentTable:
@@ -101,8 +90,11 @@ class ConvergentTable:
 
     def extend_until(self, above: int, seq: str = "k", parity: int = 1) -> "ConvergentTable":
         """Grow until the last index of the given parity has h or k > above."""
+        above, parity = _integer(above, "above"), _integer(parity, "parity")
         if seq not in ("h", "k"):
             raise ValueError(f"seq must be 'h' or 'k', got {seq!r}")
+        if parity not in (0, 1):
+            raise ValueError(f"parity must be 0 or 1, got {parity}")
         values = self._h if seq == "h" else self._k
         if not _last_exceeds(values, len(self._k) - 1, parity, above):
             self._check_wall()
@@ -150,9 +142,14 @@ class ConvergentTable:
         self._k.append(kp + a * km)
 
 
+def _last(m: int, parity: int) -> int:
+    """Largest index of the given parity that is at most m (-1 when there is none)."""
+    return m - (m - parity) % 2
+
+
 def _last_exceeds(values: list[int], depth: int, parity: int, c: int) -> bool:
     """Whether the last stored entry of the given parity exceeds c."""
-    last = depth - (depth - parity) % 2
+    last = _last(depth, parity)
     return last >= 0 and values[last] > c
 
 
@@ -166,7 +163,8 @@ def _band(table: ConvergentTable, seq: str, parity: int, c: int) -> tuple[int, i
     """
     values = table._h if seq == "h" else table._k
     depth = len(table._k) - 1
-    if not _last_exceeds(values, depth, parity, c):
+    last = _last(depth, parity)  # _last_exceeds inlined: one call fewer on the hot path
+    if last < 0 or values[last] <= c:
         table.extend_until(c, seq, parity)
         depth = len(table._k) - 1
     n = bisect_right(values, c, 0, depth + 1) - 1
@@ -198,21 +196,3 @@ def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterato
         for t in range(min(a[n + 2], -((values[n] - limit) // values[n + 1]))):
             yield n, t, h0 + t * dh, k0 + t * dk
         n += 2
-
-
-def secondary_convergents(table: ConvergentTable, level: int) -> list[SecondaryConvergent]:
-    """Mediant chain strictly between convergents `level` and `level + 2`.
-
-    The t > 0 mediants of band `level` in `_bands`; empty when a_{level+2} == 1.
-    """
-    level = _integer(level, "level")
-    if level < 0 or level + 2 > table.depth:
-        raise IndexBeyondTable(
-            f"secondary convergents at level {level} need depth {level + 2}, "
-            f"table has {table.depth}"
-        )
-    return [
-        SecondaryConvergent(h, k, n, t)
-        for n, t, h, k in _bands(table, "k", level % 2, table._k[level + 2])
-        if n == level and t
-    ]

@@ -18,7 +18,6 @@ from .sequences import (
     verify_monotone_fractional_chains,
 )
 from .successor import GridPoint, next_point, prev_point, value, walk
-from .svg import render_tiling_svg
 from .tiling import large_gap, rectangles_in_window, verify_partition
 
 BUDGET_ENV_VAR = "LATTICE_SUCC_BIT_BUDGET"
@@ -52,11 +51,11 @@ def _emit_point(p: GridPoint, val, fmt: str, out) -> None:
 def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
     table = ConvergentTable(pair).extend_to(args.depth)
     records = [
-        {"index": i, "quotient": table.quotient(i), "h": table.h(i), "k": table.k(i)}
-        for i in range(table.depth + 1)
+        {"index": i, "quotient": a, "h": h, "k": k}
+        for i, (a, (h, k)) in enumerate(zip(table.quotients, table.convergents))
     ]
     if args.fmt == "text":
-        out.write("quotients " + " ".join(str(q) for q in table.quotients) + "\n")
+        out.write("quotients " + " ".join(str(r["quotient"]) for r in records) + "\n")
     _emit(records, ["index", "quotient", "h", "k"], args.fmt, out)
     return 0
 
@@ -94,6 +93,8 @@ def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
     ]
     _emit(records, ["family", "level", "band", "x_min", "x_max", "y_min", "y_max"], args.fmt, out)
     if args.svg:
+        from .svg import render_tiling_svg  # only this handler draws
+
         with open(args.svg, "w") as fh:
             fh.write(render_tiling_svg(rects, args.width, args.height))
     return 0

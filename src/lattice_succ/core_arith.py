@@ -233,11 +233,6 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
     return _affine_sign(pair, u.coeff - v.coeff, u.const - v.const)
 
 
-def affine_sign(pair: GeneratorPair, u: AffineForm) -> int:
-    """Sign of the real number u = coeff*alpha - const."""
-    return compare_affine(pair, u, ZERO_FORM)
-
-
 def f(pair: GeneratorPair, n: int) -> int:
     """Upper sequence f(n) = ceil(n/alpha): least k with n/k < alpha.
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cf_engine import ConvergentTable, _bands
+from .cf_engine import ConvergentTable, _bands, _last
 from .core_arith import (
     EQUAL,
     GREATER,
@@ -23,32 +23,11 @@ from .core_arith import (
 )
 
 
-@dataclass(frozen=True)
-class FracPartRecord:
-    """f/g values at n together with the two fractional parts.
-
-    z = f(n)*alpha - n and y = n - g(n)*alpha; both lie in (0, alpha) and
-    z + y = alpha.
-    """
-
-    n: int
-    fval: int
-    gval: int
-    z: AffineForm
-    y: AffineForm
-
-
 @dataclass
 class VerifyReport:
     ok: bool
     checked: int
     failures: list[str] = field(default_factory=list)
-
-
-def frac_parts(pair: GeneratorPair, n: int) -> FracPartRecord:
-    fn = f(pair, n)
-    gn = fn - 1
-    return FracPartRecord(n, fn, gn, AffineForm(fn, n), AffineForm(-gn, -n))
 
 
 def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyReport:
@@ -99,11 +78,6 @@ def check_strictly_decreasing(pair: GeneratorPair, forms: list[AffineForm]) -> V
             )
             break
     return report
-
-
-def _last(max_index: int, parity: int) -> int:
-    """Largest index of the given parity that is at most max_index."""
-    return max_index - (max_index - parity) % 2
 
 
 def _chain(table: ConvergentTable, parity: int, max_index: int) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .tiling import Rectangle
 
+_CELL = 12  # pixels per grid cell
 _PALETTE = [
     "#4c72b0",
     "#dd8452",
@@ -25,10 +26,10 @@ def _color(level: int) -> str:
     return _PALETTE[level % len(_PALETTE)]
 
 
-def render_tiling_svg(rects: list[Rectangle], W: int, H: int, cell: int = 12) -> str:
+def render_tiling_svg(rects: list[Rectangle], W: int, H: int) -> str:
     """SVG 1.1 document showing the rectangles clipped to [0, W) x [0, H)."""
-    width_px = W * cell
-    height_px = H * cell
+    width_px = W * _CELL
+    height_px = H * _CELL
     levels = sorted({r.level for r in rects if r.family.endswith("~")})
     defs = []
     for lvl in levels:
@@ -45,10 +46,10 @@ def render_tiling_svg(rects: list[Rectangle], W: int, H: int, cell: int = 12) ->
         y0, y1 = max(r.y_min, 0), min(r.y_max, H - 1)
         if x0 > x1 or y0 > y1:
             continue
-        px = x0 * cell
-        py = (H - 1 - y1) * cell
-        pw = (x1 - x0 + 1) * cell
-        ph = (y1 - y0 + 1) * cell
+        px = x0 * _CELL
+        py = (H - 1 - y1) * _CELL
+        pw = (x1 - x0 + 1) * _CELL
+        ph = (y1 - y0 + 1) * _CELL
         if r.family.endswith("~"):
             fill = f"url(#hatch{r.level})"
         else:

@@ -144,12 +144,12 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
         if i < 1:
             raise ValueError("A-family witnesses need level >= 1")
         table.extend_to(2 * i + 1)
-        point = GridPoint(table.k(2 * i + 1) - 1, table.h(2 * i) - 1)
+        point = GridPoint(table._k[2 * i + 1] - 1, table._h[2 * i] - 1)
     elif family == "P":
         if i < 0:
             raise ValueError("P-family witnesses need level >= 0")
         table.extend_to(2 * i + 2)
-        point = GridPoint(table.k(2 * i + 1) - 1, table.h(2 * i + 2) - 1)
+        point = GridPoint(table._k[2 * i + 1] - 1, table._h[2 * i + 2] - 1)
     else:
         raise ValueError(f"unknown family {family!r}")
     succ = next_point(table, point)

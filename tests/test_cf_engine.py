@@ -18,9 +18,9 @@ from lattice_succ import (
     core_arith,
     next_point,
     prev_point,
-    secondary_convergents,
     validate_pair,
 )
+from lattice_succ.cf_engine import _bands
 
 from conftest import PAIR_ARGS, pair_for, safe_depth, table_for
 
@@ -144,24 +144,28 @@ def test_index_beyond_table():
         table.h(-1)
 
 
+def secondary(table, level):
+    """(h, k) of the secondary convergents strictly between `level` and `level + 2`.
+
+    The t > 0 mediants of band `level` in `_bands`; the table must already
+    reach index level + 2.
+    """
+    limit = table._k[level + 2]
+    return [(h, k) for n, t, h, k in _bands(table, "k", level % 2, limit) if n == level and t]
+
+
 class TestSecondaryConvergents:
     def test_level_2(self, table23):
         table23.extend_to(4)
-        secs = secondary_convergents(table23, 2)
-        assert [(s.numerator, s.denominator) for s in secs] == [(3, 5)]
+        assert secondary(table23, 2) == [(3, 5)]
 
     def test_level_1_empty(self, table23):
         table23.extend_to(3)
-        assert secondary_convergents(table23, 1) == []
+        assert secondary(table23, 1) == []
 
     def test_level_4(self, table23):
         table23.extend_to(6)
-        secs = secondary_convergents(table23, 4)
-        assert [(s.numerator, s.denominator) for s in secs] == [(17, 27), (29, 46)]
-
-    def test_requires_depth(self, table23):
-        with pytest.raises(IndexBeyondTable):
-            secondary_convergents(table23, table23.depth - 1)
+        assert secondary(table23, 4) == [(17, 27), (29, 46)]
 
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_between_and_on_correct_side(self, p1, p2):
@@ -169,30 +173,25 @@ class TestSecondaryConvergents:
         depth = safe_depth(table, 10)
         pair = table.pair
         for level in range(depth - 1):
-            lo = table.h(level) * table.k(level + 2)
-            hi = table.h(level + 2) * table.k(level)
-            for s in secondary_convergents(table, level):
-                assert math.gcd(s.numerator, s.denominator) == 1
+            for num, den in secondary(table, level):
+                assert math.gcd(num, den) == 1
                 # strictly between convergents `level` and `level + 2`
-                a = s.numerator * table.k(level)
-                b = table.h(level) * s.denominator
-                c = s.numerator * table.k(level + 2)
-                d = table.h(level + 2) * s.denominator
+                a = num * table.k(level)
+                b = table.h(level) * den
+                c = num * table.k(level + 2)
+                d = table.h(level + 2) * den
                 if level % 2 == 0:
                     assert a > b and c < d
-                    assert compare_fraction(pair, s.numerator, s.denominator) == LESS
+                    assert compare_fraction(pair, num, den) == LESS
                 else:
                     assert a < b and c > d
-                    assert compare_fraction(pair, s.numerator, s.denominator) == GREATER
+                    assert compare_fraction(pair, num, den) == GREATER
 
 
 def test_monotone_secondary_chain(table23):
     # mediant chain at an even level increases toward alpha
     table23.extend_to(8)
-    secs = secondary_convergents(table23, 6)
-    fracs = [(table23.h(6), table23.k(6))] + [(s.numerator, s.denominator) for s in secs] + [
-        (table23.h(8), table23.k(8))
-    ]
+    fracs = [(table23.h(6), table23.k(6))] + secondary(table23, 6) + [(table23.h(8), table23.k(8))]
     for (h1, k1), (h2, k2) in zip(fracs, fracs[1:]):
         assert h1 * k2 < h2 * k1
 

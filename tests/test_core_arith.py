@@ -32,7 +32,6 @@ from lattice_succ.core_arith import (
     ZERO_FORM,
     _affine_sign,
     _f_search,
-    affine_sign,
     perfect_power_base,
 )
 
@@ -153,7 +152,7 @@ class TestCompareAffine:
             for h in (table.h(i) - 1, table.h(i), table.h(i) + 1):
                 k = table.k(i)
                 frac = compare_fraction(pair, h, k)
-                assert frac == -affine_sign(pair, AffineForm(k, h))
+                assert frac == -_affine_sign(pair, k, h)
                 assert frac == (LESS if pair.p2**h < pair.p1**k else GREATER)
                 a, b = k * lp1, h * lp2
                 exact += abs(a - b) <= (a + b) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN

@@ -6,7 +6,8 @@ from lattice_succ import (
     AffineForm,
     ConvergentTable,
     compare_affine,
-    frac_parts,
+    f,
+    g,
     minimal_fractional_subsequences,
     predicted_record_indices,
     verify_fg_at_convergents,
@@ -19,12 +20,16 @@ from lattice_succ.sequences import check_strictly_decreasing
 from conftest import PAIR_ARGS, safe_depth, table_for
 
 
+def frac_parts(pair, n):
+    """The two fractional parts at n: z = f(n)*alpha - n and y = n - g(n)*alpha, g = f - 1."""
+    fn = f(pair, n)
+    return AffineForm(fn, n), AffineForm(-(fn - 1), -n)
+
+
 class TestFracParts:
     def test_values_at_small_n(self, pair23):
-        rec = frac_parts(pair23, 1)
-        assert (rec.fval, rec.gval) == (2, 1)
-        assert rec.z == AffineForm(2, 1)
-        assert rec.y == AffineForm(-1, -1)
+        assert (f(pair23, 1), g(pair23, 1)) == (2, 1)
+        assert frac_parts(pair23, 1) == (AffineForm(2, 1), AffineForm(-1, -1))
 
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_positive_and_sum_to_alpha(self, p1, p2):
@@ -32,14 +37,14 @@ class TestFracParts:
         pair = table.pair
         alpha = AffineForm(1, 0)
         for n in range(1, 60):
-            rec = frac_parts(pair, n)
-            assert compare_affine(pair, rec.z, ZERO_FORM) == GREATER
-            assert compare_affine(pair, rec.y, ZERO_FORM) == GREATER
+            z, y = frac_parts(pair, n)
+            assert compare_affine(pair, z, ZERO_FORM) == GREATER
+            assert compare_affine(pair, y, ZERO_FORM) == GREATER
             # z + y = alpha by coefficient bookkeeping: f - g = 1
-            assert AffineForm(rec.z.coeff + rec.y.coeff, rec.z.const + rec.y.const) == alpha
+            assert AffineForm(z.coeff + y.coeff, z.const + y.const) == alpha
             # both strictly below alpha
-            assert compare_affine(pair, rec.z, alpha) != GREATER
-            assert compare_affine(pair, rec.y, alpha) != GREATER
+            assert compare_affine(pair, z, alpha) != GREATER
+            assert compare_affine(pair, y, alpha) != GREATER
 
 
 class TestFgAtConvergents:
@@ -136,12 +141,12 @@ class TestMinimalFractionalSubsequences:
         n_rec, m_rec = [], []
         z_min, y_min = AffineForm(1, 0), None  # z_0 = alpha
         for n in range(1, N + 1):
-            rec = frac_parts(pair, n)
-            if compare_affine(pair, rec.z, z_min) == LESS:
-                z_min = rec.z
+            z, y = frac_parts(pair, n)
+            if compare_affine(pair, z, z_min) == LESS:
+                z_min = z
                 n_rec.append(n)
-            if y_min is None or compare_affine(pair, rec.y, y_min) == LESS:
-                y_min = rec.y
+            if y_min is None or compare_affine(pair, y, y_min) == LESS:
+                y_min = y
                 m_rec.append(n)
         assert minimal_fractional_subsequences(table, N) == (n_rec, m_rec)
 

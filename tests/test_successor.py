@@ -21,7 +21,6 @@ from lattice_succ import (
     prev_point,
     rectangle_point,
     rectangles_in_window,
-    secondary_convergents,
     translation,
     validate_pair,
     value,
@@ -246,7 +245,9 @@ _table23 = table_for(2, 3)
         (naive_next, (_pair23, GridPoint(2.5, 1), "affine")),
         (naive_next, (_pair23, GridPoint(2.5, 1), "value")),
         (ConvergentTable.extend_to, (_table23, 2.5)),
-        (secondary_convergents, (_table23, 1.0)),
+        (ConvergentTable.extend_until, (_table23, 2.5)),
+        (ConvergentTable.extend_until, (_table23, "x")),
+        (ConvergentTable.extend_until, (_table23, 10, "k", 1.5)),
         (rectangles_in_window, (_table23, 2.5, 3)),
         (verify_partition, (_table23, 5, 2.5)),
         (large_gap, (_table23, 1.5)),
@@ -261,3 +262,9 @@ def test_non_integer_arguments_are_typed(fn, args):
     # NonIntegerArgument is a TypeError, so callers catching TypeError still do.
     with pytest.raises(NonIntegerArgument):
         fn(*args)
+
+
+def test_parity_outside_0_1_is_value_error():
+    with pytest.raises(ValueError, match="parity must be 0 or 1"):
+        _table23.extend_until(10, "k", 2)
+
