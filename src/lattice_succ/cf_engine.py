@@ -39,8 +39,9 @@ class ConvergentTable:
 
     The probes for row depth+1 depend only on the stored rows and the pair,
     so a row the bit budget refused is refused again on every attempt. The
-    table remembers that refusal and answers a later need for a row past it
-    with a fresh BudgetExceeded of the same message, without comparing again.
+    table remembers that refusal and, under the lock, answers a later need for
+    a row past it with a fresh BudgetExceeded of the same message, without
+    comparing again.
     """
 
     def __init__(self, pair: GeneratorPair):
@@ -82,7 +83,6 @@ class ConvergentTable:
         """Ensure quotients and convergents through index i are stored."""
         i = _integer(i, "index")
         if len(self._k) <= i:
-            self._check_wall()
             with self._lock:
                 while len(self._k) <= i:
                     self._append_row()
@@ -97,17 +97,16 @@ class ConvergentTable:
             raise ValueError(f"parity must be 0 or 1, got {parity}")
         values = self._h if seq == "h" else self._k
         if not _last_exceeds(values, len(self._k) - 1, parity, above):
-            self._check_wall()
             with self._lock:
                 while not _last_exceeds(values, len(self._k) - 1, parity, above):
                     self._append_row()
         return self
 
-    def _check_wall(self) -> None:
-        if self._wall is not None:  # fresh: re-raising one instance would grow its traceback
-            raise BudgetExceeded(self._wall)
-
     def _append_row(self) -> None:
+        # Under the lock the depth is current, so a known wall refuses exactly the
+        # row it refused before. Fresh: re-raising one instance would grow its traceback.
+        if self._wall is not None:
+            raise BudgetExceeded(self._wall)
         m = len(self._k) - 1
         hm, km = self._h[m], self._k[m]
         if m == 0:
@@ -159,12 +158,17 @@ def _band(table: ConvergentTable, seq: str, parity: int, c: int) -> tuple[int, i
     n is the largest index of that parity with seq[n] <= c, and
     (t, rem) = divmod(c - seq[n], seq[n + 1]). The caller guarantees
     seq[parity] <= c. The table grows only when its last entry of that parity
-    does not exceed c.
+    does not exceed c. Past a known wall no row is ever appended, so the depth
+    read after the wall is final: if it still falls short, _band raises the
+    table's BudgetExceeded itself instead of going through extend_until.
     """
     values = table._h if seq == "h" else table._k
     depth = len(table._k) - 1
     last = _last(depth, parity)  # _last_exceeds inlined: one call fewer on the hot path
     if last < 0 or values[last] <= c:
+        # Re-read the depth: a concurrent extension may have passed c before the wall was set.
+        if table._wall is not None and not _last_exceeds(values, len(table._k) - 1, parity, c):
+            raise BudgetExceeded(table._wall)
         table.extend_until(c, seq, parity)
         depth = len(table._k) - 1
     n = bisect_right(values, c, 0, depth + 1) - 1

@@ -11,7 +11,7 @@ import heapq
 from typing import Iterator
 
 from .core_arith import LESS, AffineForm, GeneratorPair, ZERO_FORM, _integer, compare_affine
-from .successor import GridPoint, _check_value_budget, _coords, value
+from .successor import GridPoint, _check_value_budget, _coords, _point, value
 
 
 class _AffineKey:
@@ -61,7 +61,7 @@ class SortedStream:
             v2 = v * pair.p2
             heapq.heappush(heap, (_AffineKey(pair, 0, j + 1) if affine else v2, 0, j + 1, v2))
         self.last_value = v
-        return GridPoint(i, j)
+        return _point(GridPoint, (i, j))
 
 
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
@@ -73,8 +73,11 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
     out = []
     for _ in range(count):
         p = next(stream)
-        _check_value_budget(pair, p.i, p.j)
-        out.append((p, stream.last_value))
+        v = stream.last_value
+        # Below this length log2(v) < budget - 1 bounds both exponents and the estimate: no refusal.
+        if v.bit_length() >= pair.bit_budget:
+            _check_value_budget(pair, p.i, p.j)
+        out.append((p, v))
     return out
 
 

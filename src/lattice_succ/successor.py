@@ -11,6 +11,7 @@ predecessor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _band
@@ -24,6 +25,9 @@ class NoPredecessor(LatticeError):
 class GridPoint(NamedTuple):
     i: int  # exponent of p1
     j: int  # exponent of p2
+
+
+_point = tuple.__new__  # _point(GridPoint, (i, j)) skips the Python-level NamedTuple __new__
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,10 @@ def rectangle_point(table: ConvergentTable, rid: RectangleId) -> GridPoint:
 def _coords(p) -> tuple[int, int]:
     """Integer coordinates of p; anything without __index__ raises NonIntegerArgument."""
     i, j = p
-    x, y = _integer(i, "i"), _integer(j, "j")
+    try:
+        x, y = index(i), index(j)
+    except TypeError:  # redone one at a time so the error names the bad coordinate
+        x, y = _integer(i, "i"), _integer(j, "j")
     if x < 0 or y < 0:
         raise ValueError(f"grid point must be non-negative, got {tuple(p)}")
     return x, y
@@ -137,9 +144,9 @@ def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     family, n, t, rem = _source(table, x, y)
     if family == "P":
         k = table._k
-        return GridPoint(x + k[n] + t * k[n + 1], rem)
+        return _point(GridPoint, (x + k[n] + t * k[n + 1], rem))
     h = table._h
-    return GridPoint(rem, y + h[n] + t * h[n + 1])
+    return _point(GridPoint, (rem, y + h[n] + t * h[n + 1]))
 
 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
@@ -156,7 +163,7 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
             x, y = x + k[m] + t * k[m + 1], rem
         else:
             x, y = rem, y + h[m] + t * h[m + 1]
-        out.append(GridPoint(x, y))
+        out.append(_point(GridPoint, (x, y)))
     return out
 
 
@@ -167,9 +174,9 @@ def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     family, n, t, rem = _tilde(table, x, y)
     if family == "P":
         h = table._h
-        return GridPoint(rem, y + h[n] + t * h[n + 1])
+        return _point(GridPoint, (rem, y + h[n] + t * h[n + 1]))
     k = table._k
-    return GridPoint(x + k[n] + t * k[n + 1], rem)
+    return _point(GridPoint, (x + k[n] + t * k[n + 1], rem))
 
 
 def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:

@@ -14,6 +14,7 @@ from lattice_succ import (
     ConvergentTable,
     GridPoint,
     IndexBeyondTable,
+    cf_engine,
     compare_fraction,
     core_arith,
     next_point,
@@ -294,6 +295,85 @@ class TestRememberedWall:
                 assert table.depth == depth
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_below_and_past_the_wall_match_one_thread(self):
+        # _band refuses past a known wall without extend_until; the depth it
+        # checks must be read after the wall, or a row another thread appended
+        # just before the wall would be refused.
+        pair = validate_pair(2, 3, bit_budget=400)
+        queries = [
+            (query, GridPoint(x, y))
+            for query in (next_point, prev_point)
+            for x in range(0, 100, 9)
+            for y in range(0, 60, 4)
+            if x or y
+        ]
+
+        def outcome(table, query, p):
+            try:
+                return query(table, p)
+            except BudgetExceeded as exc:
+                return str(exc)
+
+        reference = ConvergentTable(pair)
+        want = [outcome(reference, query, p) for query, p in queries]
+        assert {type(w) for w in want} == {GridPoint, str}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                table = ConvergentTable(pair)
+                start = threading.Barrier(4, timeout=60)
+                got = [dict() for _ in range(4)]
+
+                def run(seen, order):
+                    start.wait()
+                    for idx in order:
+                        seen[idx] = outcome(table, *queries[idx])
+
+                orders = [random.Random(trial * 4 + n).sample(range(len(queries)), len(queries)) for n in range(4)]
+                threads = [threading.Thread(target=run, args=(got[n], orders[n])) for n in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for seen in got:
+                    assert [seen[idx] for idx in range(len(queries))] == want, trial
+                assert table.depth == reference.depth
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("at_call", [1, 2], ids=["in_band", "in_extend_until"])
+    def test_extension_between_depth_read_and_wall_read(self, monkeypatch, at_call):
+        # The race above, forced: another extension runs to the wall at the
+        # at_call-th _last call, after a depth read and before the wall check.
+        pair = validate_pair(2, 3, bit_budget=400)
+        reference = ConvergentTable(pair)
+        _, _, depth = _hit_wall(reference)
+        real = cf_engine._last
+        answered = 0
+        for query in (next_point, prev_point):
+            for p in (GridPoint(x, y) for x in range(0, 100, 9) for y in range(0, 60, 4) if x or y):
+                try:
+                    want = query(reference, p)
+                except BudgetExceeded:
+                    continue
+                table, calls = ConvergentTable(pair), []
+
+                def interleaved(m, parity):
+                    calls.append(m)
+                    if len(calls) == at_call:
+                        with pytest.raises(BudgetExceeded):
+                            table.extend_to(depth + 1)
+                    return real(m, parity)
+
+                monkeypatch.setattr(cf_engine, "_last", interleaved)
+                got = query(table, p)
+                monkeypatch.setattr(cf_engine, "_last", real)
+                assert got == want and len(calls) >= at_call and table._wall is not None, p
+                answered += 1
+        assert answered > 100
 
     def test_traceback_does_not_grow(self):
         table = ConvergentTable(validate_pair(2, 3))

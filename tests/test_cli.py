@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lattice_succ import cli
+from lattice_succ import cli, tiling
 from lattice_succ.cli import BUDGET_ENV_VAR, build_parser, run
 
 
@@ -183,6 +183,19 @@ def test_verify_fails_on_a_dropped_record(monkeypatch):
     code, out = invoke(VERIFY_ARGS)
     assert code == 1
     assert "FAIL record-subsequences: scan N=100" in out.splitlines()
+
+
+def test_verify_fails_on_a_dropped_band(monkeypatch):
+    real = tiling.rectangles_in_window
+
+    def dropping(table, W, H, tilde=False):
+        rects = real(table, W, H, tilde)
+        return rects[:1] + rects[2:]
+
+    monkeypatch.setattr(tiling, "rectangles_in_window", dropping)
+    code, out = invoke(VERIFY_ARGS)
+    assert code == 1
+    assert "FAIL partition-source: 9 rectangles on 40x40" in out.splitlines()
 
 
 def test_parser_built_once_per_budget_default(monkeypatch):

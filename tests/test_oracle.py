@@ -76,6 +76,30 @@ def test_budget_refusal_at_the_element_value_refuses(p1, p2):
     assert str(got.value) == want
 
 
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_budget_refusal_at_every_budget_from_2_to_160(p1, p2):
+    # enumerate_sorted skips the budget check below bit length budget; near that
+    # length it must still refuse at the element value() refuses, with its message.
+    points = SortedStream(pair_for(p1, p2))
+    seen = [next(points)]
+    idx = 0
+    for budget in range(2, 161):
+        pair = validate_pair(p1, p2, bit_budget=budget)
+        # a refusal at some budget holds at every lower one, so idx never moves back
+        while True:
+            try:
+                value(pair, seen[idx])
+            except BudgetExceeded as exc:
+                want = str(exc)
+                break
+            idx += 1
+            if idx == len(seen):
+                seen.append(next(points))
+        with pytest.raises(BudgetExceeded) as got:
+            enumerate_sorted(pair, idx + 1)
+        assert str(got.value) == want, budget
+
+
 def test_bad_key_rejected(pair23):
     with pytest.raises(ValueError):
         SortedStream(pair23, key="float")

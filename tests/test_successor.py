@@ -10,6 +10,7 @@ from lattice_succ import (
     NoPredecessor,
     NonIntegerArgument,
     RectangleId,
+    SortedStream,
     enumerate_sorted,
     large_gap,
     locate,
@@ -268,3 +269,32 @@ def test_parity_outside_0_1_is_value_error():
     with pytest.raises(ValueError, match="parity must be 0 or 1"):
         _table23.extend_until(10, "k", 2)
 
+
+
+def test_results_are_grid_points():
+    stream = SortedStream(_pair23)
+    results = [
+        next_point(_table23, (18, 4)),
+        prev_point(_table23, GridPoint(7, 11)),
+        *walk(_table23, (0, 0), 5),
+        next(stream),
+        next(stream),
+        *(p for p, _ in enumerate_sorted(_pair23, 5)),
+    ]
+    assert results[:2] == [(7, 11), (18, 4)]
+    for p in results:
+        assert type(p) is GridPoint
+        assert p._asdict() == {"i": p.i, "j": p.j}
+        plain = (p.i, p.j)
+        assert p == plain and plain == p and hash(p) == hash(plain)
+        assert {p: 1}[plain] == 1
+
+
+@pytest.mark.parametrize(
+    "p,name",
+    [((1.5, 2), "i"), ((2, 1.5), "j"), ((1.5, 2.5), "i"), (("1", 2), "i"), ((2, None), "j")],
+)
+def test_non_integer_coordinate_is_named(p, name):
+    for query in (next_point, prev_point):
+        with pytest.raises(NonIntegerArgument, match=f"^{name} must be an integer, got {p[name == 'j']!r}$"):
+            query(_table23, p)

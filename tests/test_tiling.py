@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from lattice_succ import (
@@ -9,6 +11,7 @@ from lattice_succ import (
     value,
     verify_partition,
 )
+from lattice_succ import tiling
 from lattice_succ.tiling import Rectangle, large_gap
 
 from conftest import PAIR_ARGS, table_for
@@ -102,6 +105,38 @@ class TestVerifyPartition:
         table = table_for(p1, p2)
         assert verify_partition(table, 150, 7).ok
         assert verify_partition(table, 7, 150, tilde=True).ok
+
+
+def tamper(monkeypatch, family, level, band, edit):
+    """Make tiling.rectangles_in_window pass the band (family, level, band) through edit (r -> list)."""
+    real = tiling.rectangles_in_window
+
+    def tampered(table, W, H, tilde=False):
+        out = []
+        for r in real(table, W, H, tilde):
+            out.extend(edit(r) if (r.family, r.level, r.band) == (family, level, band) else [r])
+        return out
+
+    monkeypatch.setattr(tiling, "rectangles_in_window", tampered)
+
+
+class TestVerifyPartitionNegativeControls:
+    # Source bands of (2, 3) on 10x10: A(1,0) is x 1-2, y 0; P(1,0) is x 0-2, y 1-2;
+    # P(1,1) is x 0-2, y 3-4; A(2,0) starts at x = 3 and spans y 0-4.
+    @pytest.mark.parametrize(
+        "band,edit,violations",
+        [
+            (("P", 1, 1), lambda r: [], [((x, y), 0) for x in range(3) for y in (3, 4)]),
+            (("A", 1, 0), lambda r: [r, r], [((1, 0), 2), ((2, 0), 2)]),
+            (("P", 1, 0), lambda r: [dataclasses.replace(r, x_max=r.x_max + 1)], [((3, 1), 2), ((3, 2), 2)]),
+        ],
+        ids=["dropped", "duplicated", "widened"],
+    )
+    def test_reports_the_exact_cells(self, monkeypatch, band, edit, violations):
+        tamper(monkeypatch, *band, edit)
+        report = verify_partition(table_for(2, 3), 10, 10)
+        assert report.ok is False
+        assert report.violations == violations
 
 
 class TestTranslationConsistency:
