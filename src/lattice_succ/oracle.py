@@ -83,6 +83,8 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
 
 def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:
     """Successor of p by fresh enumeration until value(p) is passed."""
+    if key not in ("value", "affine"):
+        raise ValueError(f"key must be 'value' or 'affine', got {key!r}")
     i, j = _coords(p)
     if key == "value":
         target = value(pair, p)

@@ -130,20 +130,21 @@ def minimal_fractional_subsequences(
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     pair = table.pair
+    p1, p2 = pair.p1, pair.p2
     n_records: list[int] = [1]
     m_records: list[int] = [1]
     # Incremental f: maintain p1**fn > p2**n > p1**(fn-1).
     fn = f(pair, 1)
-    pow1 = pair.p1**fn
-    pow2 = pair.p2
+    pow1 = p1**fn
+    pow2 = p2
     # n = 1 opens both lists: y_1 is the first y, and z_1 < z_0 = alpha is
     # f(1)'s definition. The running min and max of z are kept as (f(n), n).
     k_min, n_min = k_max, n_max = fn, 1
     for n in range(2, N + 1):
-        pow2 *= pair.p2
+        pow2 *= p2
         while pow1 <= pow2:
             fn += 1
-            pow1 *= pair.p1
+            pow1 *= p1
         c = _affine_sign(pair, fn - k_min, n - n_min)
         if c == LESS:
             k_min, n_min = fn, n

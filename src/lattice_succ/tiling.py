@@ -1,13 +1,17 @@
 """Materialized rectangle families, partition verification, and gap witnesses.
 
 The partition verifier deliberately stays dumber than the theorem: it paints
-every rectangle onto the window's cells and checks each cell is covered
-exactly once (the translated family leaves exactly the origin uncovered).
+every rectangle onto the window and checks each cell is covered exactly once
+(the translated family leaves exactly the origin uncovered). The window is
+cut into runs of columns at the rectangles' x-edges; every column of a run is
+covered by the same rectangles, so each run is painted and checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .cf_engine import ConvergentTable, _bands
 from .core_arith import _integer
@@ -91,32 +95,41 @@ def verify_partition(
 ) -> PartitionReport:
     """Check every window cell lies in exactly one rectangle of the family-set.
 
-    For the tilde families the origin must be covered by none. Each window
-    column is a bitmask over y: a cell painted twice is recorded as doubly
-    covered, and every column must end equal to its expected mask.
+    For the tilde families the origin must be covered by none. The window is
+    split into runs of columns at the clipped rectangles' x-edges (and, for
+    tilde, after the origin column). Each run is a bitmask over y: a cell
+    painted twice is recorded as doubly covered, and every run must end equal
+    to its expected mask. A wrong run is expanded into its cells, x then y
+    ascending, up to 20 violations.
     """
     W, H = _integer(W, "W"), _integer(H, "H")
     rects = rectangles_in_window(table, W, H, tilde)
-    painted = [0] * W
-    doubled = [0] * W
+    clipped = []
+    cuts = {0, 1, W} if tilde else {0, W}
     for r in rects:
-        x0, x1 = max(r.x_min, 0), min(r.x_max, W - 1)
+        x0, x1 = max(r.x_min, 0), min(r.x_max + 1, W)
         y0, y1 = max(r.y_min, 0), min(r.y_max, H - 1)
-        if x0 > x1 or y0 > y1:
-            continue
-        mask = ((1 << (y1 - y0 + 1)) - 1) << y0
-        for x in range(x0, x1 + 1):
-            doubled[x] |= painted[x] & mask
-            painted[x] |= mask
+        if x0 < x1 and y0 <= y1:
+            clipped.append((x0, x1, ((1 << (y1 - y0 + 1)) - 1) << y0))
+            cuts.add(x0)
+            cuts.add(x1)
+    edges = sorted(cuts)
+    run = {x: n for n, x in enumerate(edges)}
+    painted = [0] * (len(edges) - 1)
+    doubled = painted.copy()
+    for x0, x1, mask in clipped:
+        for n in range(run[x0], run[x1]):
+            doubled[n] |= painted[n] & mask
+            painted[n] |= mask
     full = (1 << H) - 1
     bad: list[tuple[int, int]] = []
-    for x in range(W):
-        expected = full & ~1 if tilde and x == 0 else full
-        wrong = (painted[x] ^ expected) | doubled[x]
-        while wrong and len(bad) < 20:
-            low = wrong & -wrong
-            bad.append((x, low.bit_length() - 1))
-            wrong ^= low
+    for n in range(len(edges) - 1):
+        expected = full & ~1 if tilde and n == 0 else full
+        wrong = (painted[n] ^ expected) | doubled[n]
+        if wrong:
+            bad += islice(_cells(edges[n], edges[n + 1], wrong), 20 - len(bad))
+            if len(bad) == 20:
+                break
     violations = [
         ((x, y), sum(r.x_min <= x <= r.x_max and r.y_min <= y <= r.y_max for r in rects))
         for x, y in bad
@@ -129,6 +142,16 @@ def verify_partition(
         rectangle_count=len(rects),
         violations=violations,
     )
+
+
+def _cells(x0: int, x1: int, mask: int) -> Iterator[tuple[int, int]]:
+    """The cells (x, y) of columns x0 <= x < x1 whose y bit is set in mask, x then y ascending."""
+    for x in range(x0, x1):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            yield x, low.bit_length() - 1
+            rest ^= low
 
 
 def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitness:

@@ -121,6 +121,37 @@ class TestCompareFraction:
             compare_affine(pair23, AffineForm(-(10**400), 3), ZERO_FORM)
 
 
+class TestNonIntegerComparisonArguments:
+    @pytest.mark.parametrize("h,k", [(0.6309297535714574, 1), (1.5, 2), (1, 2.0), ("1", 2), (None, 2)])
+    def test_fraction_terms_are_typed(self, pair23, h, k):
+        # 0.63... is alpha itself: it must not reach the tie check and claim a dependent pair
+        with pytest.raises(NonIntegerArgument) as exc:
+            compare_fraction(pair23, h, k)
+        assert isinstance(exc.value, LatticeError) and isinstance(exc.value, TypeError)
+
+    @pytest.mark.parametrize(
+        "u,v,name",
+        [
+            (AffineForm(1.5, 0), ZERO_FORM, "u.coeff"),
+            (AffineForm(1, 0.5), ZERO_FORM, "u.const"),
+            (ZERO_FORM, AffineForm(2.0, 1), "v.coeff"),
+            (ZERO_FORM, AffineForm(2, "1"), "v.const"),
+        ],
+    )
+    def test_affine_fields_are_typed(self, pair23, u, v, name):
+        with pytest.raises(NonIntegerArgument, match=name):
+            compare_affine(pair23, u, v)
+
+    def test_index_objects_accepted(self, pair23):
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert compare_fraction(pair23, 1, Two()) == compare_fraction(pair23, 1, 2) == LESS
+        form = AffineForm(Two(), Two())
+        assert compare_affine(pair23, form, ZERO_FORM) == compare_affine(pair23, AffineForm(2, 2), ZERO_FORM)
+
+
 class TestCompareAffine:
     def test_equal_forms(self, pair23):
         assert compare_affine(pair23, ZERO_FORM, ZERO_FORM) == EQUAL

@@ -115,3 +115,8 @@ class TestNaiveNext:
     def test_affine_mode_agrees(self, pair23):
         for p in [GridPoint(0, 0), GridPoint(3, 2), GridPoint(5, 5)]:
             assert naive_next(pair23, p, key="affine") == naive_next(pair23, p)
+
+    @pytest.mark.parametrize("key", ["bogus", "Value", None])
+    def test_bad_key_rejected(self, pair23, key):
+        with pytest.raises(ValueError, match="key must be"):
+            naive_next(pair23, GridPoint(1, 1), key=key)

@@ -139,6 +139,85 @@ class TestVerifyPartitionNegativeControls:
         assert report.violations == violations
 
 
+def reference_partition(table, W, H, tilde):
+    """(ok, rectangle_count, violations) from per-cell cover counts, by verify_partition's rules.
+
+    A cell is wrong unless it is covered exactly once (never, for the tilde
+    origin); violations are the first 20 wrong cells, x then y ascending.
+    """
+    rects = tiling.rectangles_in_window(table, W, H, tilde)
+    cover = {}
+    for r in rects:
+        for x in range(max(r.x_min, 0), min(r.x_max + 1, W)):
+            for y in range(max(r.y_min, 0), min(r.y_max + 1, H)):
+                cover[x, y] = cover.get((x, y), 0) + 1
+    bad = [
+        ((x, y), cover.get((x, y), 0))
+        for x in range(W)
+        for y in range(H)
+        if cover.get((x, y), 0) != (0 if tilde and x == y == 0 else 1)
+    ]
+    return not bad, len(rects), bad[:20]
+
+
+def partition_report(table, W, H, tilde):
+    report = verify_partition(table, W, H, tilde=tilde)
+    return report.ok, report.rectangle_count, report.violations
+
+
+EDITS = {
+    "dropped": lambda r: [],
+    "duplicated": lambda r: [r, r],
+    "widened": lambda r: [dataclasses.replace(r, x_max=r.x_max + 1)],
+    "shifted": lambda r: [
+        dataclasses.replace(r, x_min=r.x_min + 1, x_max=r.x_max + 1, y_min=r.y_min + 1, y_max=r.y_max + 1)
+    ],
+}
+
+
+class TestRunPainterMatchesCellReference:
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("W,H", [(1, 1), (1, 40), (40, 1), (200, 200), (3000, 7)])
+    def test_untouched_families(self, p1, p2, tilde, W, H):
+        table = table_for(p1, p2)
+        want = reference_partition(table, W, H, tilde)
+        assert want[0]
+        assert partition_report(table, W, H, tilde) == want
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+    def test_every_band_tampered(self, monkeypatch, p1, p2, tilde, edit):
+        table = table_for(p1, p2)
+        failed = 0
+        for W, H in [(40, 40), (300, 7)]:
+            for r in rectangles_in_window(table, W, H, tilde):
+                with monkeypatch.context() as m:
+                    tamper(m, r.family, r.level, r.band, edit)
+                    want = reference_partition(table, W, H, tilde)
+                    assert partition_report(table, W, H, tilde) == want, (W, H, r)
+                failed += not want[0]
+        assert failed > 0
+
+    def test_first_20_cells_across_runs(self, monkeypatch):
+        # Without P(2,0) (x 0-18, y 5-16) the 12x12 window loses 84 cells in the
+        # runs x = 0, 1-2, 3-10 and 11. The report stops after 20: columns 0
+        # and 1 in full, then column 2 from y = 5 up.
+        tamper(monkeypatch, "P", 2, 0, lambda r: [])
+        report = verify_partition(table_for(2, 3), 12, 12)
+        assert report.ok is False
+        assert report.violations == [((x, y), 0) for x in range(3) for y in range(5, 12)][:20]
+
+    def test_tilde_origin_run(self, monkeypatch):
+        # P~(0,0) is the single cell (1, 0); moved onto the origin, it covers
+        # the one cell the tilde family leaves bare and bares its own.
+        tamper(monkeypatch, "P~", 0, 0, lambda r: [dataclasses.replace(r, x_min=0, x_max=0)])
+        report = verify_partition(table_for(2, 3), 12, 12, tilde=True)
+        assert report.ok is False
+        assert report.violations == [((0, 0), 1), ((1, 0), 0)]
+
+
 class TestTranslationConsistency:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_source_plus_translation_is_tilde_partner(self, p1, p2):
