@@ -12,9 +12,9 @@ approximate result is ever trusted unless its error bound certifies the sign.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import index
 
 LESS = -1
 EQUAL = 0
@@ -106,7 +106,7 @@ def perfect_power_base(p: int) -> tuple[int, int]:
 def _integer(x, name: str) -> int:
     """x as a Python int; anything without __index__ raises NonIntegerArgument."""
     try:
-        return index(x)
+        return operator.index(x)
     except TypeError:
         raise NonIntegerArgument(f"{name} must be an integer, got {x!r}") from None
 
@@ -154,16 +154,13 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
         raise BudgetExceeded(f"power comparison has an exponent above the bit budget {budget}")
     lp1, lp2 = pair._log2
     a = dk * lp1  # bits of p1**dk
-    if dn <= 0:
-        # The operands are p1**dk * p2**-dn and 1, and p2**dn <= 1 <= p1**dk.
-        bits = a + -dn * lp2
-        if bits > budget:
-            raise _over_budget(bits, budget)
-        return s if dk or dn else EQUAL
-    b = dn * lp2  # bits of p2**dn
-    bits = a if a > b else b
+    b = abs(dn) * lp2  # bits of p2**|dn|
+    # With dn <= 0 the operands are p1**dk * p2**-dn and 1, and p2**dn <= 1 <= p1**dk.
+    bits = a + b if dn <= 0 else (a if a > b else b)
     if bits > budget:
-        raise _over_budget(bits, budget)
+        raise BudgetExceeded(f"power comparison needs ~{int(bits)} bits, budget is {budget}")
+    if dn <= 0:
+        return s if dk or dn else EQUAL
     gap = a - b
     margin = (a + b) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN
     if gap > margin:
@@ -184,11 +181,6 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
             f"p1**{dk} == p2**{dn}: generators are not multiplicatively independent"
         )
     return s if lhs > rhs else -s
-
-
-def _over_budget(bits: float, budget: int) -> BudgetExceeded:
-    """The refusal of a comparison whose larger operand has ~bits bits."""
-    return BudgetExceeded(f"power comparison needs ~{int(bits)} bits, budget is {budget}")
 
 
 @lru_cache(maxsize=256)
@@ -228,10 +220,7 @@ def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
     h/k < alpha  iff  h*log(p2) < k*log(p1)  iff  p2**h < p1**k.
     Accepts k = 0 (h >= 1) for the Stern-Brocot seed 1/0 = +infinity.
     """
-    try:
-        h, k = index(h), index(k)
-    except TypeError:  # redone one at a time so the error names the bad term
-        h, k = _integer(h, "h"), _integer(k, "k")
+    h, k = _integer(h, "h"), _integer(k, "k")
     if h < 0 or k < 0 or (h == 0 and k == 0):
         raise ValueError(f"invalid fraction {h}/{k}")
     return -_affine_sign(pair, k, h)
@@ -242,11 +231,8 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
 
     EQUAL only for component-wise equal forms (irrationality of alpha).
     """
-    try:
-        dk, dn = index(u.coeff) - index(v.coeff), index(u.const) - index(v.const)
-    except TypeError:  # redone one at a time so the error names the bad field
-        dk = _integer(u.coeff, "u.coeff") - _integer(v.coeff, "v.coeff")
-        dn = _integer(u.const, "u.const") - _integer(v.const, "v.const")
+    dk = _integer(u.coeff, "u.coeff") - _integer(v.coeff, "v.coeff")
+    dn = _integer(u.const, "u.const") - _integer(v.const, "v.const")
     return _affine_sign(pair, dk, dn)
 
 

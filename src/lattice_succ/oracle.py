@@ -83,18 +83,16 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
 
 def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:
     """Successor of p by fresh enumeration until value(p) is passed."""
-    if key not in ("value", "affine"):
-        raise ValueError(f"key must be 'value' or 'affine', got {key!r}")
+    stream = SortedStream(pair, key)
     i, j = _coords(p)
     if key == "value":
         target = value(pair, p)
-        stream = SortedStream(pair)
         for q in stream:
             if stream.last_value > target:
                 return q
     else:
         target = _AffineKey(pair, i, j)
-        for q in SortedStream(pair, key="affine"):
+        for q in stream:
             if target < _AffineKey(pair, q.i, q.j):
                 return q
     raise AssertionError("unreachable: S is infinite")
