@@ -9,9 +9,9 @@ decimal-log comparison, big-integer powers only for the smallest operands).
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from bisect import bisect_right
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core_arith import (
     GREATER,
@@ -49,7 +49,7 @@ class ConvergentTable:
         self._a = [0]
         self._h = [0]
         self._k = [1]
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
         self._wall: str | None = None  # message of the BudgetExceeded that refused row depth+1
 
     @property

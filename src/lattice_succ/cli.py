@@ -10,15 +10,10 @@ from functools import lru_cache
 
 from .cf_engine import ConvergentTable
 from .core_arith import DEFAULT_BIT_BUDGET, LatticeError, validate_pair
-from .oracle import enumerate_sorted
-from .sequences import (
-    minimal_fractional_subsequences,
-    predicted_record_indices,
-    verify_fg_at_convergents,
-    verify_monotone_fractional_chains,
-)
 from .successor import GridPoint, next_point, prev_point, value, walk
-from .tiling import large_gap, rectangles_in_window, verify_partition
+
+# The handlers of enum, tile, gaps and verify import the verifier modules
+# themselves, so `next`, `prev` and `cf` load only the query path.
 
 BUDGET_ENV_VAR = "LATTICE_SUCC_BIT_BUDGET"
 FORMATS = ("text", "json-lines", "tsv")
@@ -68,6 +63,8 @@ def _cmd_step(args: argparse.Namespace, pair, out) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
+    from .oracle import enumerate_sorted
+
     elems = enumerate_sorted(pair, args.count)
     records = [
         {"index": idx, "i": p.i, "j": p.j, "value": v} for idx, (p, v) in enumerate(elems)
@@ -77,6 +74,8 @@ def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
 
 
 def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
+    from .tiling import rectangles_in_window
+
     table = ConvergentTable(pair)
     rects = rectangles_in_window(table, args.width, args.height, tilde=args.tilde)
     records = [
@@ -101,6 +100,8 @@ def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
 
 
 def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
+    from .tiling import large_gap
+
     table = ConvergentTable(pair)
     family = args.family
     records = []
@@ -122,10 +123,22 @@ def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
-    table = ConvergentTable(pair)
+    from .oracle import enumerate_sorted
+    from .sequences import (
+        minimal_fractional_subsequences,
+        predicted_record_indices,
+        verify_fg_at_convergents,
+        verify_monotone_fractional_chains,
+    )
+    from .tiling import verify_partition
+
     W, H = args.window
     scan = args.scan
     depth = args.depth
+    for flag, n in (("--scan", scan), ("--depth", depth)):
+        if n < 1:
+            raise ValueError(f"{flag} must be positive, got {n}")
+    table = ConvergentTable(pair)
     records: list[dict] = []
 
     def suite(name: str, ok: bool, detail: str) -> None:

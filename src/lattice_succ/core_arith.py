@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 LESS = -1
 EQUAL = 0
@@ -54,24 +54,49 @@ class NonIntegerArgument(LatticeError, TypeError):
     """A generator, budget or index that is not an integer (has no __index__)."""
 
 
-@dataclass(frozen=True)
 class GeneratorPair:
     """Validated generators (p1, p2) with alpha = log(p1)/log(p2) irrational.
 
-    Construct through validate_pair; the dataclass itself does not check.
+    Construct through validate_pair; the class itself does not check. Frozen:
+    assigning to an instance raises AttributeError. Equality and hashing use
+    (p1, p2, bit_budget); `_log2`, the two base-2 logs, is derived from them.
     """
 
-    p1: int
-    p2: int
-    bit_budget: int = DEFAULT_BIT_BUDGET
+    __slots__ = ("p1", "p2", "bit_budget", "_log2")
+    __match_args__ = ("p1", "p2", "bit_budget")
 
-    @cached_property
-    def _log2(self) -> tuple[float, float]:  # not a field, so not in eq/hash
-        return math.log2(self.p1), math.log2(self.p2)
+    def __init__(self, p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET):
+        put = object.__setattr__
+        put(self, "p1", p1)
+        put(self, "p2", p2)
+        put(self, "bit_budget", bit_budget)
+        put(self, "_log2", (math.log2(p1), math.log2(p2)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen GeneratorPair")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen GeneratorPair")
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.p1, self.p2, self.bit_budget
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GeneratorPair(p1={self.p1!r}, p2={self.p2!r}, bit_budget={self.bit_budget!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return GeneratorPair, self._key()
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """The real number coeff*alpha - const, for exact sign/order queries."""
 
     coeff: int

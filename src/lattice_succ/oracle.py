@@ -8,7 +8,7 @@ element exactly once in increasing order with O(rows) memory.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core_arith import LESS, AffineForm, GeneratorPair, ZERO_FORM, _integer, compare_affine
 from .successor import GridPoint, _check_value_budget, _coords, _point, value

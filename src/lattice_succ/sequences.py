@@ -6,8 +6,6 @@ via the statements under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cf_engine import ConvergentTable, _bands, _last
 from .core_arith import (
     EQUAL,
@@ -23,11 +21,23 @@ from .core_arith import (
 )
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
+    """Outcome of a verifier: ok, the number of checks made, one message per failure."""
+
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok: bool, checked: int, failures: list[str] | None = None):
+        self.ok = ok
+        self.checked = checked
+        self.failures = [] if failures is None else failures  # a fresh list per report
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.checked, self.failures) == (other.ok, other.checked, other.failures)
+        return NotImplemented  # with __eq__ and no __hash__, a report is unhashable, as it is mutable
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(ok={self.ok!r}, checked={self.checked!r}, failures={self.failures!r})"
 
 
 def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyReport:

@@ -10,7 +10,6 @@ predecessor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import NamedTuple
 
@@ -30,8 +29,7 @@ class GridPoint(NamedTuple):
 _point = tuple.__new__  # _point(GridPoint, (i, j)) skips the Python-level NamedTuple __new__
 
 
-@dataclass(frozen=True)
-class RectangleId:
+class RectangleId(NamedTuple):
     """Position of a grid point inside the rectangle decomposition.
 
     family "A": source extents i in [k_{2L-1}+t*k_{2L}, +k_{2L}-1], j < h_{2L};

@@ -9,17 +9,18 @@ covered by the same rectangles, so each run is painted and checked once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
+from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _bands
 from .core_arith import _integer
 from .successor import GridPoint, next_point, value
 
+_record = tuple.__new__  # _record(Rectangle, fields) skips the Python-level NamedTuple __new__
 
-@dataclass(frozen=True)
-class Rectangle:
+
+class Rectangle(NamedTuple):
     """Inclusive integer extents of one rectangle of a family.
 
     family is "A", "P" (sources) or "A~", "P~" (translated partners).
@@ -42,8 +43,7 @@ class Rectangle:
         return self.y_max - self.y_min + 1
 
 
-@dataclass(frozen=True)
-class GapWitness:
+class GapWitness(NamedTuple):
     """Consecutive pair of S spanning a large element-free integer interval."""
 
     level: int
@@ -53,8 +53,7 @@ class GapWitness:
     gap: int
 
 
-@dataclass
-class PartitionReport:
+class PartitionReport(NamedTuple):
     ok: bool
     width: int
     height: int
@@ -83,10 +82,10 @@ def rectangles_in_window(
     for family, seq, parity in families:
         for n, t, h, k in _bands(table, seq, parity, W if seq == "k" else H):
             if seq == "k":
-                extents = (k, k + ks[n + 1] - 1, 0, hs[n + 1] - 1)
+                fields = (family, (n + 1) // 2, t, k, k + ks[n + 1] - 1, 0, hs[n + 1] - 1)
             else:
-                extents = (0, ks[n + 1] - 1, h, h + hs[n + 1] - 1)
-            rects.append(Rectangle(family, (n + 1) // 2, t, *extents))
+                fields = (family, (n + 1) // 2, t, 0, ks[n + 1] - 1, h, h + hs[n + 1] - 1)
+            rects.append(_record(Rectangle, fields))
     return rects
 
 

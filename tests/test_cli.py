@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
-from lattice_succ import cli, tiling
+from lattice_succ import cli, sequences, tiling
 from lattice_succ.cli import BUDGET_ENV_VAR, build_parser, run
 
 
@@ -173,13 +175,13 @@ def test_verify_fails_on_a_walk_that_skips_a_step(monkeypatch):
 
 
 def test_verify_fails_on_a_dropped_record(monkeypatch):
-    real = cli.minimal_fractional_subsequences
+    real = sequences.minimal_fractional_subsequences
 
     def dropping(table, N):
         n_records, m_records = real(table, N)
         return n_records[:-1], m_records
 
-    monkeypatch.setattr(cli, "minimal_fractional_subsequences", dropping)
+    monkeypatch.setattr(sequences, "minimal_fractional_subsequences", dropping)
     code, out = invoke(VERIFY_ARGS)
     assert code == 1
     assert "FAIL record-subsequences: scan N=100" in out.splitlines()
@@ -235,3 +237,37 @@ def test_bad_window_string():
     with pytest.raises(SystemExit) as exc:
         invoke(["verify", "--p1", "2", "--p2", "3", "--window", "banana"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--scan", "-4"), ("--scan", "0"), ("--depth", "0"), ("--depth", "-3")],
+)
+def test_verify_rejects_a_count_below_one(capsys, flag, value):
+    code, out = invoke(VERIFY_ARGS + [flag, value])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {flag} must be positive, got {value}\n"
+
+
+def _benchmark_verify_argvs(seed: int) -> list[list[str]]:
+    """The 1000 argvs of the benchmark's verify workload for a seed, by the same recipe."""
+    rng = random.Random(seed)
+    pairs = ((2, 3), (2, 5), (3, 5), (2, 12), (6, 10))
+    argvs = []
+    for n in range(1000):
+        p1, p2 = pairs[n % len(pairs)]
+        w, h = rng.randrange(120, 201), rng.randrange(120, 201)
+        argvs.append(["verify", "--p1", str(p1), "--p2", str(p2), "--window", f"{w}x{h}",
+                      "--scan", str(rng.randrange(120, 241)), "--depth", "6"])
+    return argvs
+
+
+def test_verify_output_over_the_benchmark_argvs_is_unchanged():
+    # Digest of every exit status and text output at seed 1, recorded from the
+    # dataclass-based records that the tuple and slots records replaced.
+    digest = hashlib.sha256()
+    for argv in _benchmark_verify_argvs(1):
+        code, out = invoke(argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "aa07ba697d20d4c172cac60aa02164ee640afcb26d12a7e113aa356d8946a5d5"

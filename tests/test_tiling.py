@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -128,7 +127,7 @@ class TestVerifyPartitionNegativeControls:
         [
             (("P", 1, 1), lambda r: [], [((x, y), 0) for x in range(3) for y in (3, 4)]),
             (("A", 1, 0), lambda r: [r, r], [((1, 0), 2), ((2, 0), 2)]),
-            (("P", 1, 0), lambda r: [dataclasses.replace(r, x_max=r.x_max + 1)], [((3, 1), 2), ((3, 2), 2)]),
+            (("P", 1, 0), lambda r: [r._replace(x_max=r.x_max + 1)], [((3, 1), 2), ((3, 2), 2)]),
         ],
         ids=["dropped", "duplicated", "widened"],
     )
@@ -168,9 +167,9 @@ def partition_report(table, W, H, tilde):
 EDITS = {
     "dropped": lambda r: [],
     "duplicated": lambda r: [r, r],
-    "widened": lambda r: [dataclasses.replace(r, x_max=r.x_max + 1)],
+    "widened": lambda r: [r._replace(x_max=r.x_max + 1)],
     "shifted": lambda r: [
-        dataclasses.replace(r, x_min=r.x_min + 1, x_max=r.x_max + 1, y_min=r.y_min + 1, y_max=r.y_max + 1)
+        r._replace(x_min=r.x_min + 1, x_max=r.x_max + 1, y_min=r.y_min + 1, y_max=r.y_max + 1)
     ],
 }
 
@@ -212,7 +211,7 @@ class TestRunPainterMatchesCellReference:
     def test_tilde_origin_run(self, monkeypatch):
         # P~(0,0) is the single cell (1, 0); moved onto the origin, it covers
         # the one cell the tilde family leaves bare and bares its own.
-        tamper(monkeypatch, "P~", 0, 0, lambda r: [dataclasses.replace(r, x_min=0, x_max=0)])
+        tamper(monkeypatch, "P~", 0, 0, lambda r: [r._replace(x_min=0, x_max=0)])
         report = verify_partition(table_for(2, 3), 12, 12, tilde=True)
         assert report.ok is False
         assert report.violations == [((0, 0), 1), ((1, 0), 0)]
