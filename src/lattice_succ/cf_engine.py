@@ -5,6 +5,9 @@ quotient a_{m+1} is the largest t for which the mediant
 (h_{m-1} + t*h_m)/(k_{m-1} + t*k_m) still lies on the same side of alpha as
 convergent m-1, each probe one exact `compare_fraction` (a certified float or
 decimal-log comparison, big-integer powers only for the smallest operands).
+
+`_rectangle` finds the rectangle holding a grid cell in either partition;
+`_bands` enumerates the mediant chains for the tiling and the verifiers.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from .core_arith import (
     LESS,
     BudgetExceeded,
     GeneratorPair,
+    InternalConsistencyError,
     LatticeError,
+    NoPredecessor,
     _integer,
     compare_fraction,
 )
@@ -152,29 +157,48 @@ def _last_exceeds(values: list[int], depth: int, parity: int, c: int) -> bool:
     return last >= 0 and values[last] > c
 
 
-def _band(table: ConvergentTable, seq: str, parity: int, c: int) -> tuple[int, int, int]:
-    """Band of coordinate c over the h or k entries of one parity: (n, t, rem).
+def _rectangle(table: ConvergentTable, u: list[int], v: list[int], c: int, d: int) -> tuple[str, int, int, int]:
+    """(family, n, t, rem) of the rectangle holding the grid cell (c, d).
 
-    n is the largest index of that parity with seq[n] <= c, and
-    (t, rem) = divmod(c - seq[n], seq[n + 1]). The caller guarantees
-    seq[parity] <= c. The table grows only when its last entry of that parity
-    does not exceed c. Past a known wall no row is ever appended, so the depth
-    read after the wall is final: if it still falls short, _band raises the
-    table's BudgetExceeded itself instead of going through extend_until.
+    Source partition: u, v = h, k and (c, d) = (y, x); tilde: u, v = k, h and
+    (c, d) = (x, y). A P cell has c at offset rem in band (n, t) of even n over
+    u, which starts at u[n] + t*u[n+1], and d < v[n+1]; any other cell is an A
+    cell, with d in a band of odd n over v and c < u[n+1]. Cells with c < u[0]
+    (tilde, x = 0) are A cells; (0, 0) has no tilde rectangle. Only _grow grows.
     """
-    values = table._h if seq == "h" else table._k
     depth = len(table._k) - 1
-    last = _last(depth, parity)  # _last_exceeds inlined: one call fewer on the hot path
-    if last < 0 or values[last] <= c:
-        # Re-read the depth: a concurrent extension may have passed c before the wall was set.
-        if table._wall is not None and not _last_exceeds(values, len(table._k) - 1, parity, c):
-            raise BudgetExceeded(table._wall)
-        table.extend_until(c, seq, parity)
-        depth = len(table._k) - 1
-    n = bisect_right(values, c, 0, depth + 1) - 1
-    n -= (n - parity) % 2
-    t, rem = divmod(c - values[n], values[n + 1])
-    return n, t, rem
+    if c >= u[0]:
+        if u[depth - depth % 2] <= c:  # the last even entry
+            depth = _grow(table, u, 0, c)
+        n = bisect_right(u, c, 0, depth + 1) - 1
+        n -= n % 2
+        t, rem = divmod(c - u[n], u[n + 1])
+        if d < v[n + 1]:
+            return "P", n, t, rem
+    elif not d:
+        raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
+    last = depth - (depth - 1) % 2  # the last odd index, -1 at depth 0
+    if last < 0 or v[last] <= d:
+        depth = _grow(table, v, 1, d)
+    n = bisect_right(v, d, 0, depth + 1) - 1
+    n -= (n - 1) % 2
+    t, rem = divmod(d - v[n], v[n + 1])
+    if c >= u[n + 1]:
+        raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
+    return "A", n, t, rem
+
+
+def _grow(table: ConvergentTable, values: list[int], parity: int, c: int) -> int:
+    """_rectangle's slow path: grow until the last entry of that parity exceeds c; the new depth.
+
+    Past a known wall no row is ever appended, so the depth read after the
+    wall is final: if it still falls short, refuse here, without extend_until.
+    """
+    # Re-read the depth: a concurrent extension may have passed c before the wall was set.
+    if table._wall is not None and not _last_exceeds(values, len(table._k) - 1, parity, c):
+        raise BudgetExceeded(table._wall)
+    table.extend_until(c, "h" if values is table._h else "k", parity)
+    return len(table._k) - 1
 
 
 def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterator[tuple[int, int, int, int]]:

@@ -43,7 +43,14 @@ def _emit_point(p: GridPoint, val, fmt: str, out) -> None:
         _emit([rec], cols, fmt, out)
 
 
+def _check_count(flag: str, n: int, least: int = 1) -> None:
+    """Refuse a count below least (0 or 1), the smallest that gives output; the error names the flag."""
+    if n < least:
+        raise ValueError(f"{flag} must be {('non-negative', 'positive')[least]}, got {n}")
+
+
 def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
+    _check_count("--depth", args.depth, 0)
     table = ConvergentTable(pair).extend_to(args.depth)
     records = [
         {"index": i, "quotient": a, "h": h, "k": k}
@@ -76,6 +83,8 @@ def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
 def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
     from .tiling import rectangles_in_window
 
+    _check_count("--width", args.width)
+    _check_count("--height", args.height)
     table = ConvergentTable(pair)
     rects = rectangles_in_window(table, args.width, args.height, tilde=args.tilde)
     records = [
@@ -102,10 +111,12 @@ def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
 def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
     from .tiling import large_gap
 
-    table = ConvergentTable(pair)
     family = args.family
+    first = 1 if family == "A" else 0  # family A starts at level 1
+    _check_count("--levels", args.levels, first)
+    table = ConvergentTable(pair)
     records = []
-    for level in range(1 if family == "A" else 0, args.levels + 1):
+    for level in range(first, args.levels + 1):
         w = large_gap(table, level, family=family)
         records.append(
             {
@@ -135,9 +146,8 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     W, H = args.window
     scan = args.scan
     depth = args.depth
-    for flag, n in (("--scan", scan), ("--depth", depth)):
-        if n < 1:
-            raise ValueError(f"{flag} must be positive, got {n}")
+    _check_count("--scan", scan)
+    _check_count("--depth", depth)
     table = ConvergentTable(pair)
     records: list[dict] = []
 

@@ -50,6 +50,10 @@ class InternalConsistencyError(LatticeError):
     """A tie that irrationality forbids, or a failed covering check; indicates a bug."""
 
 
+class NoPredecessor(LatticeError):
+    """(0, 0) is the least element of S."""
+
+
 class NonIntegerArgument(LatticeError, TypeError):
     """A generator, budget or index that is not an integer (has no __index__)."""
 

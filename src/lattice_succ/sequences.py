@@ -19,6 +19,10 @@ from .core_arith import (
     compare_affine,
     f,
 )
+from .successor import _check_value_budget
+
+# Bits below the binary point kept in the record scan's exact key for z_n.
+_KEY_BITS = 64
 
 
 class VerifyReport:
@@ -135,11 +139,16 @@ def minimal_fractional_subsequences(
     a y record is a strict running maximum of z, so one z stream gives both
     lists. Returns the two index lists. A tie between distinct indices is
     impossible for irrational alpha and raises InternalConsistencyError.
+
+    z_n = log_p2(p1**f(n) / p2**n), so floors of that ratio times 2**_KEY_BITS
+    order the z strictly where they differ; equal floors go to _affine_sign.
+    Both powers stay below p2**(N+1), which the bit budget must allow.
     """
     N = _integer(N, "N")
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     pair = table.pair
+    _check_value_budget(pair, 0, N + 1)
     p1, p2 = pair.p1, pair.p2
     n_records: list[int] = [1]
     m_records: list[int] = [1]
@@ -148,26 +157,30 @@ def minimal_fractional_subsequences(
     pow1 = p1**fn
     pow2 = p2
     # n = 1 opens both lists: y_1 is the first y, and z_1 < z_0 = alpha is
-    # f(1)'s definition. The running min and max of z are kept as (f(n), n).
+    # f(1)'s definition. The running min and max of z are kept as key, f(n), n.
+    q_min = q_max = (pow1 << _KEY_BITS) // pow2
     k_min, n_min = k_max, n_max = fn, 1
     for n in range(2, N + 1):
         pow2 *= p2
         while pow1 <= pow2:
             fn += 1
             pow1 *= p1
-        c = _affine_sign(pair, fn - k_min, n - n_min)
-        if c == LESS:
-            k_min, n_min = fn, n
-            n_records.append(n)
-            continue
-        if c == EQUAL:
-            raise InternalConsistencyError(f"z_{n} ties the running minimum")
-        c = _affine_sign(pair, fn - k_max, n - n_max)
-        if c == GREATER:
-            k_max, n_max = fn, n
-            m_records.append(n)
-        elif c == EQUAL:
-            raise InternalConsistencyError(f"y_{n} ties the running minimum")
+        q = (pow1 << _KEY_BITS) // pow2
+        if q <= q_min:
+            c = LESS if q < q_min else _affine_sign(pair, fn - k_min, n - n_min)
+            if c == LESS:
+                q_min, k_min, n_min = q, fn, n
+                n_records.append(n)
+                continue
+            if c == EQUAL:
+                raise InternalConsistencyError(f"z_{n} ties the running minimum")
+        if q >= q_max:
+            c = GREATER if q > q_max else _affine_sign(pair, fn - k_max, n - n_max)
+            if c == GREATER:
+                q_max, k_max, n_max = q, fn, n
+                m_records.append(n)
+            elif c == EQUAL:
+                raise InternalConsistencyError(f"y_{n} ties the running minimum")
     return n_records, m_records
 
 

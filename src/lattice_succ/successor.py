@@ -5,7 +5,8 @@ indexed by a level and a band t; each rectangle is carried by a translation
 onto its tilde partner, and that translation maps every element's
 coordinates to the coordinates of its successor in sorted S. Locating a
 point in the tilde partition and undoing the translation gives the
-predecessor.
+predecessor. Both partitions are looked up by `cf_engine._rectangle`, one
+call per query.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple
 
-from .cf_engine import ConvergentTable, _band
-from .core_arith import BudgetExceeded, GeneratorPair, InternalConsistencyError, LatticeError, _integer
-
-
-class NoPredecessor(LatticeError):
-    """(0, 0) is the least element of S."""
+from .cf_engine import ConvergentTable, _rectangle
+# NoPredecessor is raised in cf_engine._rectangle and exported from here.
+from .core_arith import BudgetExceeded, GeneratorPair, NoPredecessor, _integer
 
 
 class GridPoint(NamedTuple):
@@ -84,43 +82,10 @@ def _coords(p) -> tuple[int, int]:
     return x, y
 
 
-def _source(table: ConvergentTable, x: int, y: int) -> tuple[str, int, int, int]:
-    """(family, n, t, rem) of the source rectangle holding (x, y).
-
-    Follows the covering argument: y falls in the P band of index n over the
-    even h; the point is a P cell iff x < k_{n+1}, otherwise it falls in the
-    A band of index n over the odd k, and then y < h_{n+1}.
-    """
-    n, t, rem = _band(table, "h", 0, y)
-    if x < table._k[n + 1]:
-        return "P", n, t, rem
-    n, t, rem = _band(table, "k", 1, x)
-    if y >= table._h[n + 1]:
-        raise InternalConsistencyError(f"covering argument violated at ({x}, {y})")
-    return "A", n, t, rem
-
-
-def _tilde(table: ConvergentTable, x: int, y: int) -> tuple[str, int, int, int]:
-    """(family, n, t, rem) of the translated rectangle holding (x, y) != (0, 0).
-
-    The source search with the axes and h, k swapped.
-    """
-    if x == 0 and y == 0:
-        raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
-    if x >= 1:
-        n, t, rem = _band(table, "k", 0, x)
-        if y < table._h[n + 1]:
-            return "P", n, t, rem
-    n, t, rem = _band(table, "h", 1, y)
-    if x >= table._k[n + 1]:
-        raise InternalConsistencyError(f"covering argument violated at ({x}, {y})")
-    return "A", n, t, rem
-
-
 def locate(table: ConvergentTable, p: GridPoint) -> RectangleId:
     """Find the unique source rectangle containing p."""
     x, y = _coords(p)
-    family, n, t, rem = _source(table, x, y)
+    family, n, t, rem = _rectangle(table, table._h, table._k, y, x)
     if family == "P":
         return RectangleId("P", n // 2, t, x, rem)
     return RectangleId("A", (n + 1) // 2, t, rem, y)
@@ -129,7 +94,7 @@ def locate(table: ConvergentTable, p: GridPoint) -> RectangleId:
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> RectangleId:
     """Find the unique translated (tilde) rectangle containing p != (0, 0)."""
     x, y = _coords(p)
-    family, n, t, rem = _tilde(table, x, y)
+    family, n, t, rem = _rectangle(table, table._k, table._h, x, y)
     if family == "P":
         return RectangleId("P", n // 2, t, rem, y, tilde=True)
     return RectangleId("A", (n + 1) // 2, t, x, rem, tilde=True)
@@ -139,11 +104,10 @@ def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the successor of p1^i * p2^j in sorted S."""
     # Adding the translation leaves the band offset rem on the band's axis.
     x, y = _coords(p)
-    family, n, t, rem = _source(table, x, y)
+    h, k = table._h, table._k
+    family, n, t, rem = _rectangle(table, h, k, y, x)
     if family == "P":
-        k = table._k
         return _point(GridPoint, (x + k[n] + t * k[n + 1], rem))
-    h = table._h
     return _point(GridPoint, (rem, y + h[n] + t * h[n + 1]))
 
 
@@ -156,7 +120,7 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     h, k = table._h, table._k  # append-only, so rows added mid-walk show here
     out = []
     for _ in range(n):
-        family, m, t, rem = _source(table, x, y)
+        family, m, t, rem = _rectangle(table, h, k, y, x)
         if family == "P":
             x, y = x + k[m] + t * k[m + 1], rem
         else:
@@ -169,11 +133,10 @@ def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the predecessor; raises NoPredecessor at (0, 0)."""
     # Undoing the translation leaves the band offset rem on the band's axis.
     x, y = _coords(p)
-    family, n, t, rem = _tilde(table, x, y)
+    h, k = table._h, table._k
+    family, n, t, rem = _rectangle(table, k, h, x, y)
     if family == "P":
-        h = table._h
         return _point(GridPoint, (rem, y + h[n] + t * h[n + 1]))
-    k = table._k
     return _point(GridPoint, (x + k[n] + t * k[n + 1], rem))
 
 

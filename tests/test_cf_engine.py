@@ -297,7 +297,7 @@ class TestRememberedWall:
             sys.setswitchinterval(interval)
 
     def test_threads_below_and_past_the_wall_match_one_thread(self):
-        # _band refuses past a known wall without extend_until; the depth it
+        # _grow refuses past a known wall without extend_until; the depth it
         # checks must be read after the wall, or a row another thread appended
         # just before the wall would be refused.
         pair = validate_pair(2, 3, bit_budget=400)
@@ -344,14 +344,17 @@ class TestRememberedWall:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("at_call", [1, 2], ids=["in_band", "in_extend_until"])
-    def test_extension_between_depth_read_and_wall_read(self, monkeypatch, at_call):
+    @pytest.mark.parametrize("seam", ["_grow", "_last_exceeds"], ids=["in_band", "in_extend_until"])
+    def test_extension_between_depth_read_and_wall_read(self, monkeypatch, seam):
         # The race above, forced: another extension runs to the wall at the
-        # at_call-th _last call, after a depth read and before the wall check.
+        # first call of the seam, after a depth read and before the wall check.
+        # _grow is entered after _rectangle's depth read; on a fresh table the
+        # first _last_exceeds call is extend_until's unlocked check. Neither
+        # seam holds the table lock, so the competing extension can take it.
         pair = validate_pair(2, 3, bit_budget=400)
         reference = ConvergentTable(pair)
         _, _, depth = _hit_wall(reference)
-        real = cf_engine._last
+        real = getattr(cf_engine, seam)
         answered = 0
         for query in (next_point, prev_point):
             for p in (GridPoint(x, y) for x in range(0, 100, 9) for y in range(0, 60, 4) if x or y):
@@ -361,17 +364,18 @@ class TestRememberedWall:
                     continue
                 table, calls = ConvergentTable(pair), []
 
-                def interleaved(m, parity):
-                    calls.append(m)
-                    if len(calls) == at_call:
+                def interleaved(*args):
+                    calls.append(args)
+                    if len(calls) == 1:
+                        assert not table._lock.locked()  # extend_to would deadlock under it
                         with pytest.raises(BudgetExceeded):
                             table.extend_to(depth + 1)
-                    return real(m, parity)
+                    return real(*args)
 
-                monkeypatch.setattr(cf_engine, "_last", interleaved)
+                monkeypatch.setattr(cf_engine, seam, interleaved)
                 got = query(table, p)
-                monkeypatch.setattr(cf_engine, "_last", real)
-                assert got == want and len(calls) >= at_call and table._wall is not None, p
+                monkeypatch.setattr(cf_engine, seam, real)
+                assert got == want and calls and table._wall is not None, p
                 answered += 1
         assert answered > 100
 

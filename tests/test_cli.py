@@ -250,6 +250,34 @@ def test_verify_rejects_a_count_below_one(capsys, flag, value):
     assert capsys.readouterr().err == f"error: {flag} must be positive, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["cf", "--depth", "-3"], "--depth must be non-negative, got -3"),
+        (["tile", "--width", "0", "--height", "3"], "--width must be positive, got 0"),
+        (["tile", "--width", "3", "--height", "-1"], "--height must be positive, got -1"),
+        (["gaps", "--levels", "-2"], "--levels must be positive, got -2"),
+        (["gaps", "--levels", "0"], "--levels must be positive, got 0"),
+        (["gaps", "--levels", "-1", "--family", "P"], "--levels must be non-negative, got -1"),
+    ],
+)
+def test_a_count_with_no_output_is_refused(capsys, argv, err):
+    code, out = invoke(argv[:1] + ["--p1", "2", "--p2", "3"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["cf", "--depth", "0"], 3), (["gaps", "--levels", "0", "--family", "P"], 2), (["gaps", "--levels", "1"], 2)],
+)
+def test_the_least_count_still_answers(argv, lines):
+    code, out = invoke(argv[:1] + ["--p1", "2", "--p2", "3"] + argv[1:])
+    assert code == 0
+    assert len(out.splitlines()) == lines  # header (and the quotient line for cf) plus one record
+
+
 def _benchmark_verify_argvs(seed: int) -> list[list[str]]:
     """The 1000 argvs of the benchmark's verify workload for a seed, by the same recipe."""
     rng = random.Random(seed)

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from lattice_succ import (
     GREATER,
     LESS,
     AffineForm,
+    BudgetExceeded,
     ConvergentTable,
     compare_affine,
     f,
@@ -11,6 +14,7 @@ from lattice_succ import (
     minimal_fractional_subsequences,
     predicted_record_indices,
     verify_fg_at_convergents,
+    validate_pair,
     verify_monotone_fractional_chains,
 )
 from lattice_succ import sequences
@@ -149,6 +153,36 @@ class TestMinimalFractionalSubsequences:
                 y_min = y
                 m_rec.append(n)
         assert minimal_fractional_subsequences(table, N) == (n_rec, m_rec)
+
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_zero_key_width_still_exact(self, p1, p2, monkeypatch):
+        # A key of 0 bits is the floor of p1**f(n) / p2**n, at most p1, so keys
+        # tie often and the exact comparison must settle every tie.
+        table = table_for(p1, p2)
+        want = predicted_record_indices(table, 2000)
+        real, calls = sequences._affine_sign, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sequences, "_KEY_BITS", 0)
+        monkeypatch.setattr(sequences, "_affine_sign", counted)
+        assert minimal_fractional_subsequences(table, 2000) == want
+        assert len(calls) > 100
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_budget_bounds_the_scan_length(self, p1, p2):
+        # The scan builds powers below p2**(N+1): refused iff (N+1)*log2(p2) exceeds the budget.
+        pair = validate_pair(p1, p2, bit_budget=1000)
+        longest = int(1000 / math.log2(p2)) - 1
+        assert (longest + 1) * math.log2(p2) <= 1000 < (longest + 2) * math.log2(p2)
+        table = ConvergentTable(pair)
+        want = predicted_record_indices(table_for(p1, p2), longest)  # its table needs the default budget
+        assert minimal_fractional_subsequences(table, longest) == want
+        with pytest.raises(BudgetExceeded, match=f"value at \\(0, {longest + 2}\\)"):
+            minimal_fractional_subsequences(table, longest + 1)
 
 
 # The convergent-chain walks written out index by index through the table

@@ -198,6 +198,34 @@ class TestPrev:
             assert next_point(table, prev_point(table, p)) == p
 
 
+# Depth of a fresh table after locate and locate_tilde have visited every cell
+# of the 150x150 window; recorded from the separate source and tilde band
+# lookups that the single rectangle lookup replaced.
+SWEEP_DEPTHS = {(2, 3): 9, (2, 5): 7, (3, 5): 8, (2, 12): 9, (6, 10): 6}
+
+
+class TestLookupAgainstTiling:
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_every_cell_names_the_tiling_rectangle(self, p1, p2):
+        # The tiling is built on the band enumerator, not on the lookup.
+        W = H = 150
+        pair = validate_pair(p1, p2)
+        swept = ConvergentTable(pair)
+        for tilde, lookup in ((False, locate), (True, locate_tilde)):
+            cover = {}
+            for r in rectangles_in_window(ConvergentTable(pair), W, H, tilde=tilde):
+                for x in range(max(r.x_min, 0), min(r.x_max + 1, W)):
+                    for y in range(max(r.y_min, 0), min(r.y_max + 1, H)):
+                        cover.setdefault((x, y), []).append(r)
+            assert len(cover) == W * H - tilde  # the tilde partition leaves out the origin
+            for (x, y), rects in cover.items():
+                assert len(rects) == 1, (x, y, rects)
+                r = rects[0]
+                want = RectangleId(r.family[0], r.level, r.band, x - r.x_min, y - r.y_min, tilde)
+                assert lookup(swept, GridPoint(x, y)) == want
+        assert swept.depth == SWEEP_DEPTHS[(p1, p2)]
+
+
 class TestTranslation:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_carries_source_onto_tilde(self, p1, p2):
