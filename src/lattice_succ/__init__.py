@@ -23,12 +23,11 @@ _EXPORTS = {
         "verify_fg_at_convergents", "verify_monotone_fractional_chains",
     ),
     "successor": (
-        "GridPoint", "NoPredecessor", "RectangleId", "locate", "locate_tilde", "next_point",
-        "prev_point", "rectangle_point", "translation", "value", "walk",
+        "GridPoint", "NoPredecessor", "next_point", "prev_point", "value", "walk",
     ),
     "tiling": (
-        "GapWitness", "PartitionReport", "Rectangle", "large_gap", "rectangles_in_window",
-        "verify_partition",
+        "GapWitness", "PartitionReport", "Rectangle", "large_gap", "locate", "locate_tilde",
+        "rectangles_in_window", "verify_partition",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,20 +19,43 @@ BUDGET_ENV_VAR = "LATTICE_SUCC_BIT_BUDGET"
 FORMATS = ("text", "json-lines", "tsv")
 
 
+# An int of at most this many bits has at most 603 digits, below the smallest
+# int-to-str limit the interpreter accepts (640), so str() prints it whatever
+# the limit is set to.
+_SPLIT_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of an int of any length, without lifting the interpreter's limit."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    d = n.bit_length() * 3 // 20  # about half of n's digits: log10(2) > 3/10
+    hi, lo = divmod(n, 10**d)
+    return _decimal(hi) + _decimal(lo).zfill(d)
+
+
+def _field(v, dump) -> str:
+    """One printed field: exact digits for an int (bool excluded), dump(v) otherwise."""
+    return _decimal(v) if type(v) is int else dump(v)
+
+
 def _emit(records: list[dict], columns: list[str], fmt: str, out) -> None:
     """Write records as JSON lines, or as TSV for the tsv and text formats."""
     if fmt == "json-lines":
+        # json.dumps's own layout, with ints written out by _decimal
         for rec in records:
-            out.write(json.dumps({c: rec[c] for c in columns}) + "\n")
+            out.write("{" + ", ".join(f"{json.dumps(c)}: {_field(rec[c], json.dumps)}" for c in columns) + "}\n")
     else:
         out.write("\t".join(columns) + "\n")
         for rec in records:
-            out.write("\t".join(str(rec[c]) for c in columns) + "\n")
+            out.write("\t".join(_field(rec[c], str) for c in columns) + "\n")
 
 
 def _emit_point(p: GridPoint, val, fmt: str, out) -> None:
     if fmt == "text":
-        suffix = f" {val}" if val is not None else ""
+        suffix = f" {_decimal(val)}" if val is not None else ""
         out.write(f"({p.i},{p.j}){suffix}\n")
     else:
         rec = {"i": p.i, "j": p.j}
@@ -72,6 +95,7 @@ def _cmd_step(args: argparse.Namespace, pair, out) -> int:
 def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
     from .oracle import enumerate_sorted
 
+    _check_count("--count", args.count)
     elems = enumerate_sorted(pair, args.count)
     records = [
         {"index": idx, "i": p.i, "j": p.j, "value": v} for idx, (p, v) in enumerate(elems)

@@ -12,6 +12,7 @@ from .core_arith import (
     GREATER,
     LESS,
     AffineForm,
+    BudgetExceeded,
     GeneratorPair,
     InternalConsistencyError,
     _affine_sign,
@@ -19,7 +20,6 @@ from .core_arith import (
     compare_affine,
     f,
 )
-from .successor import _check_value_budget
 
 # Bits below the binary point kept in the record scan's exact key for z_n.
 _KEY_BITS = 64
@@ -148,8 +148,10 @@ def minimal_fractional_subsequences(
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     pair = table.pair
-    _check_value_budget(pair, 0, N + 1)
-    p1, p2 = pair.p1, pair.p2
+    p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
+    # log2(p2) > 1, so the first test also keeps an N too large for a float out of the second.
+    if N + 1 > budget or (N + 1) * pair._log2[1] > budget:
+        raise BudgetExceeded(f"record scan to N = {N} builds {p2}**{N + 1}, more bits than the budget {budget}")
     n_records: list[int] = [1]
     m_records: list[int] = [1]
     # Incremental f: maintain p1**fn > p2**n > p1**(fn-1).

@@ -1,12 +1,12 @@
 """Successor/predecessor queries on the exponent grid of S = {p1^i * p2^j}.
 
-The grid decomposes into two rectangle families A (i >= 1) and P (i >= 0)
-indexed by a level and a band t; each rectangle is carried by a translation
-onto its tilde partner, and that translation maps every element's
-coordinates to the coordinates of its successor in sorted S. Locating a
-point in the tilde partition and undoing the translation gives the
-predecessor. Both partitions are looked up by `cf_engine._rectangle`, one
-call per query.
+The grid decomposes into rectangles, one per band (n, t) of the continued
+fraction of alpha (see `tiling.locate`). A translation built from a primary
+or secondary convergent carries each rectangle onto its tilde partner and
+every element onto its successor in sorted S; undoing the translation of the
+tilde rectangle holding a point gives its predecessor. Each query is one
+`cf_engine._rectangle` call plus that translation, written out inline in
+`next_point`, `prev_point` and `walk`.
 """
 
 from __future__ import annotations
@@ -27,49 +27,6 @@ class GridPoint(NamedTuple):
 _point = tuple.__new__  # _point(GridPoint, (i, j)) skips the Python-level NamedTuple __new__
 
 
-class RectangleId(NamedTuple):
-    """Position of a grid point inside the rectangle decomposition.
-
-    family "A": source extents i in [k_{2L-1}+t*k_{2L}, +k_{2L}-1], j < h_{2L};
-    family "P": source extents i < k_{2L+1}, j in [h_{2L}+t*h_{2L+1}, +h_{2L+1}-1].
-    With tilde=True the same fields describe the translated (next-number)
-    partition instead.
-    """
-
-    family: str  # "A" or "P"
-    level: int
-    band: int
-    offset_r: int
-    offset_s: int
-    tilde: bool = False
-
-
-def translation(table: ConvergentTable, family: str, level: int, band: int) -> tuple[int, int]:
-    """Translation carrying the source rectangle onto its tilde partner."""
-    if family == "A":
-        return (
-            -(table.k(2 * level - 1) + band * table.k(2 * level)),
-            table.h(2 * level - 1) + band * table.h(2 * level),
-        )
-    if family == "P":
-        return (
-            table.k(2 * level) + band * table.k(2 * level + 1),
-            -(table.h(2 * level) + band * table.h(2 * level + 1)),
-        )
-    raise ValueError(f"unknown family {family!r}")
-
-
-def rectangle_point(table: ConvergentTable, rid: RectangleId) -> GridPoint:
-    """Reconstruct the unique grid point a RectangleId denotes."""
-    r, s = rid.offset_r, rid.offset_s
-    dx, dy = translation(table, rid.family, rid.level, rid.band)
-    if rid.family == "A":
-        base = GridPoint(-dx + r, s)  # (k_{2L-1} + t*k_{2L} + r, s)
-        return GridPoint(r, dy + s) if rid.tilde else base
-    base = GridPoint(r, -dy + s)  # (r, h_{2L} + t*h_{2L+1} + s)
-    return GridPoint(dx + r, s) if rid.tilde else base
-
-
 def _coords(p) -> tuple[int, int]:
     """Integer coordinates of p; anything without __index__ raises NonIntegerArgument."""
     i, j = p
@@ -80,24 +37,6 @@ def _coords(p) -> tuple[int, int]:
     if x < 0 or y < 0:
         raise ValueError(f"grid point must be non-negative, got {tuple(p)}")
     return x, y
-
-
-def locate(table: ConvergentTable, p: GridPoint) -> RectangleId:
-    """Find the unique source rectangle containing p."""
-    x, y = _coords(p)
-    family, n, t, rem = _rectangle(table, table._h, table._k, y, x)
-    if family == "P":
-        return RectangleId("P", n // 2, t, x, rem)
-    return RectangleId("A", (n + 1) // 2, t, rem, y)
-
-
-def locate_tilde(table: ConvergentTable, p: GridPoint) -> RectangleId:
-    """Find the unique translated (tilde) rectangle containing p != (0, 0)."""
-    x, y = _coords(p)
-    family, n, t, rem = _rectangle(table, table._k, table._h, x, y)
-    if family == "P":
-        return RectangleId("P", n // 2, t, rem, y, tilde=True)
-    return RectangleId("A", (n + 1) // 2, t, x, rem, tilde=True)
 
 
 def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:

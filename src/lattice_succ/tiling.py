@@ -1,4 +1,5 @@
-"""Materialized rectangle families, partition verification, and gap witnesses.
+"""Rectangles of both partitions: point lookups, window enumeration, partition
+verification and gap witnesses.
 
 The partition verifier deliberately stays dumber than the theorem: it paints
 every rectangle onto the window and checks each cell is covered exactly once
@@ -13,17 +14,18 @@ from collections.abc import Iterator
 from itertools import islice
 from typing import NamedTuple
 
-from .cf_engine import ConvergentTable, _bands
+from .cf_engine import ConvergentTable, _bands, _rectangle
 from .core_arith import _integer
-from .successor import GridPoint, next_point, value
+from .successor import GridPoint, _coords, next_point, value
 
 _record = tuple.__new__  # _record(Rectangle, fields) skips the Python-level NamedTuple __new__
 
 
 class Rectangle(NamedTuple):
-    """Inclusive integer extents of one rectangle of a family.
+    """Inclusive integer extents of band (n, t) of one family.
 
-    family is "A", "P" (sources) or "A~", "P~" (translated partners).
+    family is "A", "P" (sources) or "A~", "P~" (translated partners); level
+    is (n + 1) // 2 and band is t. See `_band_rectangle` for the extents.
     """
 
     family: str
@@ -62,31 +64,56 @@ class PartitionReport(NamedTuple):
     violations: list[tuple[tuple[int, int], int]]  # ((x, y), cover count)
 
 
+def _band_rectangle(table: ConvergentTable, family: str, n: int, t: int, along_x: bool) -> Rectangle:
+    """The rectangle of band (n, t), which runs along x over k or along y over h.
+
+    Along x it starts at x = k_n + t*k_{n+1}, is k_{n+1} wide and spans
+    y < h_{n+1}; along y it starts at y = h_n + t*h_{n+1}, is h_{n+1} high and
+    spans x < k_{n+1}. The table must hold row n + 1.
+    """
+    h, k = table._h, table._k
+    if along_x:
+        x = k[n] + t * k[n + 1]
+        fields = (family, (n + 1) // 2, t, x, x + k[n + 1] - 1, 0, h[n + 1] - 1)
+    else:
+        y = h[n] + t * h[n + 1]
+        fields = (family, (n + 1) // 2, t, 0, k[n + 1] - 1, y, y + h[n + 1] - 1)
+    return _record(Rectangle, fields)
+
+
+def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
+    """The source rectangle ("A" or "P") holding p, as `rectangles_in_window` reports it."""
+    x, y = _coords(p)
+    family, n, t, _ = _rectangle(table, table._h, table._k, y, x)
+    return _band_rectangle(table, family, n, t, family == "A")
+
+
+def locate_tilde(table: ConvergentTable, p: GridPoint) -> Rectangle:
+    """The translated rectangle ("A~" or "P~") holding p != (0, 0), as `rectangles_in_window` reports it."""
+    x, y = _coords(p)
+    family, n, t, _ = _rectangle(table, table._k, table._h, x, y)
+    return _band_rectangle(table, family + "~", n, t, family == "P")
+
+
 def rectangles_in_window(
     table: ConvergentTable, W: int, H: int, tilde: bool = False
 ) -> list[Rectangle]:
     """All rectangles of the family-set intersecting [0, W) x [0, H).
 
     Full (unclipped) extents are reported, ordered by family, level, band
-    (the order in which the bands are enumerated). A band over k runs along x
-    and spans y < h_{n+1}; a band over h runs along y and spans x < k_{n+1}.
-    The source partition has A bands over the odd k and P bands over the even
-    h; the tilde partition swaps h and k.
+    (the order in which the bands are enumerated). The source partition has
+    A bands over the odd k and P bands over the even h; the tilde partition
+    swaps h and k.
     """
     W, H = _integer(W, "W"), _integer(H, "H")
     if W < 1 or H < 1:
         raise ValueError(f"window must be positive, got {W}x{H}")
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
-    hs, ks = table._h, table._k
-    rects: list[Rectangle] = []
-    for family, seq, parity in families:
-        for n, t, h, k in _bands(table, seq, parity, W if seq == "k" else H):
-            if seq == "k":
-                fields = (family, (n + 1) // 2, t, k, k + ks[n + 1] - 1, 0, hs[n + 1] - 1)
-            else:
-                fields = (family, (n + 1) // 2, t, 0, ks[n + 1] - 1, h, h + hs[n + 1] - 1)
-            rects.append(_record(Rectangle, fields))
-    return rects
+    return [
+        _band_rectangle(table, family, n, t, seq == "k")
+        for family, seq, parity in families
+        for n, t, _, _ in _bands(table, seq, parity, W if seq == "k" else H)
+    ]
 
 
 def verify_partition(
@@ -154,7 +181,7 @@ def _cells(x0: int, x1: int, mask: int) -> Iterator[tuple[int, int]]:
 
 
 def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitness:
-    """Gap witness at the far corner of the last band of the given level.
+    """Gap witness at the far corner (x_max, y_max) of the last band of the given level.
 
     family "A" (level >= 1): point (k_{2i+1} - 1, h_{2i} - 1);
     family "P" (level >= 0): point (k_{2i+1} - 1, h_{2i+2} - 1).
@@ -162,18 +189,15 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
     exact integer difference of the two values.
     """
     i = _integer(level, "level")
-    if family == "A":
-        if i < 1:
-            raise ValueError("A-family witnesses need level >= 1")
-        table.extend_to(2 * i + 1)
-        point = GridPoint(table._k[2 * i + 1] - 1, table._h[2 * i] - 1)
-    elif family == "P":
-        if i < 0:
-            raise ValueError("P-family witnesses need level >= 0")
-        table.extend_to(2 * i + 2)
-        point = GridPoint(table._k[2 * i + 1] - 1, table._h[2 * i + 2] - 1)
-    else:
+    if family not in ("A", "P"):
         raise ValueError(f"unknown family {family!r}")
+    least = 1 if family == "A" else 0
+    if i < least:
+        raise ValueError(f"{family}-family witnesses need level >= {least}")
+    n = 2 * i - least  # A bands have odd n, P bands even n
+    table.extend_to(n + 2)
+    last = _band_rectangle(table, family, n, table._a[n + 2] - 1, family == "A")
+    point = GridPoint(last.x_max, last.y_max)
     succ = next_point(table, point)
     gap = value(table.pair, succ) - value(table.pair, point)
     return GapWitness(level=i, family=family, point=point, succ=succ, gap=gap)

@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 
-from lattice_succ import cli, sequences, tiling
+from lattice_succ import GridPoint, cli, sequences, tiling, validate_pair, value
 from lattice_succ.cli import BUDGET_ENV_VAR, build_parser, run
 
 
@@ -125,6 +127,65 @@ def test_gaps_table():
     records = [json.loads(line) for line in out.splitlines()]
     assert records[0]["gap"] == 2
     assert records[1]["gap"] == 1441152
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's int-to-str digit limit (where it has one) to parse the output."""
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def _last_record(out: str, fmt: str) -> dict:
+    lines = out.splitlines()
+    if fmt == "json-lines":
+        return json.loads(lines[-1])
+    return {c: int(v) if v.isdigit() else v for c, v in zip(lines[0].split("\t"), lines[-1].split("\t"))}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_gaps_print_the_exact_gap_past_the_digit_limit(fmt):
+    # The README's command; the level-5 gap of (2,3) has more digits than the
+    # interpreter converts by default.
+    code, out = invoke(["gaps", "--p1", "2", "--p2", "3", "--levels", "5", "--format", fmt])
+    assert code == 0
+    assert len(out.splitlines()) == 5 + (fmt != "json-lines")  # the TSV formats print a header
+    with no_digit_limit():
+        rec = _last_record(out, fmt)
+        pair = validate_pair(2, 3)
+        point, succ = GridPoint(rec["i"], rec["j"]), GridPoint(rec["succ_i"], rec["succ_j"])
+        assert rec["level"] == 5
+        assert rec["gap"] == value(pair, succ) - value(pair, point)
+        assert len(str(rec["gap"])) > 4300
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_next_prints_a_value_past_the_digit_limit(fmt):
+    code, out = invoke(["next", "--p1", "2", "--p2", "3", "--i", "20000", "--j", "0", "--value", "--format", fmt])
+    assert code == 0
+    with no_digit_limit():
+        if fmt == "text":
+            point, digits = out.split()
+            i, j = map(int, point.strip("()").split(","))
+            got = int(digits)
+        else:
+            rec = _last_record(out, fmt)
+            i, j, got = rec["i"], rec["j"], rec["value"]
+        assert got == value(validate_pair(2, 3), GridPoint(i, j)) > 10**4300
+
+
+def test_decimal_digits_equal_str():
+    # Around the split width, and powers of ten whose low halves are all zeros.
+    ints = [0, 7, -7, 2**2000, 2**2001, 10**5000, 10**5000 - 1, 10**5000 + 1, -(3**20000), 7**100_000]
+    got = [cli._decimal(n) for n in ints]
+    with no_digit_limit():
+        assert got == [str(n) for n in ints]
 
 
 def test_verify_passes():
@@ -259,6 +320,8 @@ def test_verify_rejects_a_count_below_one(capsys, flag, value):
         (["gaps", "--levels", "-2"], "--levels must be positive, got -2"),
         (["gaps", "--levels", "0"], "--levels must be positive, got 0"),
         (["gaps", "--levels", "-1", "--family", "P"], "--levels must be non-negative, got -1"),
+        (["enum", "--count", "0"], "--count must be positive, got 0"),
+        (["enum", "--count", "-1"], "--count must be positive, got -1"),
     ],
 )
 def test_a_count_with_no_output_is_refused(capsys, argv, err):

@@ -19,7 +19,7 @@ SRC = str(Path(lattice_succ.__file__).resolve().parents[1])
 VERIFIERS = ("lattice_succ.tiling", "lattice_succ.sequences", "lattice_succ.oracle")
 OFF_THE_QUERY_PATH = ("dataclasses", "inspect", "heapq") + VERIFIERS
 
-# Every name the package exported when it imported its submodules eagerly.
+# Every name the package exports, by the submodule that defines it.
 EXPORTED = {
     "cf_engine": ["ConvergentTable", "IndexBeyondTable"],
     "core_arith": [
@@ -33,12 +33,11 @@ EXPORTED = {
         "verify_fg_at_convergents", "verify_monotone_fractional_chains",
     ],
     "successor": [
-        "GridPoint", "NoPredecessor", "RectangleId", "locate", "locate_tilde", "next_point",
-        "prev_point", "rectangle_point", "translation", "value", "walk",
+        "GridPoint", "NoPredecessor", "next_point", "prev_point", "value", "walk",
     ],
     "tiling": [
-        "GapWitness", "PartitionReport", "Rectangle", "large_gap", "rectangles_in_window",
-        "verify_partition",
+        "GapWitness", "PartitionReport", "Rectangle", "large_gap", "locate", "locate_tilde",
+        "rectangles_in_window", "verify_partition",
     ],
 }
 ALL_NAMES = sorted(name for names in EXPORTED.values() for name in names)

@@ -1,8 +1,8 @@
 """Semantics of the library's record types.
 
-GeneratorPair and VerifyReport are __slots__ classes; AffineForm, RectangleId,
-Rectangle, GapWitness and PartitionReport are NamedTuples, so they compare
-equal to plain tuples and are copied with `_replace`.
+GeneratorPair and VerifyReport are __slots__ classes; AffineForm, Rectangle,
+GapWitness and PartitionReport are NamedTuples, so they compare equal to plain
+tuples and are copied with `_replace`.
 """
 
 import copy
@@ -19,8 +19,8 @@ from lattice_succ import (
     GridPoint,
     PartitionReport,
     Rectangle,
-    RectangleId,
     large_gap,
+    locate,
     locate_tilde,
     rectangles_in_window,
     validate_pair,
@@ -117,11 +117,12 @@ class TestTupleRecords:
         with pytest.raises(AttributeError):
             r.x_max = 0
 
-    def test_rectangle_id_tilde_defaults_to_false(self, table23):
-        rid = RectangleId("P", 0, 0, 0, 0)
-        assert rid.tilde is False
-        assert rid != RectangleId("P", 0, 0, 0, 0, tilde=True)
-        assert locate_tilde(table23, GridPoint(0, 4)).tilde is True
+    def test_located_rectangles_are_tiling_records(self, table23):
+        src, tld = locate(table23, GridPoint(0, 4)), locate_tilde(table23, GridPoint(0, 4))
+        assert type(src) is Rectangle and type(tld) is Rectangle
+        assert src in rectangles_in_window(table23, 1, 5)
+        assert tld in rectangles_in_window(table23, 1, 5, tilde=True)
+        assert tld.family.endswith("~") and src != tld
 
     def test_other_records_compare_equal_to_tuples(self, table23):
         assert AffineForm(1, 2) == (1, 2) and AffineForm(coeff=1, const=2).const == 2

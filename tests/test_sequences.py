@@ -181,7 +181,7 @@ class TestMinimalFractionalSubsequences:
         table = ConvergentTable(pair)
         want = predicted_record_indices(table_for(p1, p2), longest)  # its table needs the default budget
         assert minimal_fractional_subsequences(table, longest) == want
-        with pytest.raises(BudgetExceeded, match=f"value at \\(0, {longest + 2}\\)"):
+        with pytest.raises(BudgetExceeded, match=f"record scan to N = {longest + 1} builds {p2}\\*\\*{longest + 2}, "):
             minimal_fractional_subsequences(table, longest + 1)
 
 

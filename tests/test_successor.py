@@ -9,7 +9,7 @@ from lattice_succ import (
     GridPoint,
     NoPredecessor,
     NonIntegerArgument,
-    RectangleId,
+    Rectangle,
     SortedStream,
     enumerate_sorted,
     large_gap,
@@ -20,9 +20,7 @@ from lattice_succ import (
     next_point,
     predicted_record_indices,
     prev_point,
-    rectangle_point,
     rectangles_in_window,
-    translation,
     validate_pair,
     value,
     verify_fg_at_convergents,
@@ -39,15 +37,24 @@ pair_args = st.sampled_from(PAIR_ARGS)
 
 class TestLocate:
     def test_origin(self, table23):
-        assert locate(table23, GridPoint(0, 0)) == RectangleId("P", 0, 0, 0, 0)
+        assert locate(table23, GridPoint(0, 0)) == Rectangle("P", 0, 0, 0, 0, 0, 0)
 
     def test_known_points(self, table23):
-        assert locate(table23, GridPoint(3, 2)) == RectangleId("A", 2, 0, 0, 2)
-        assert locate(table23, GridPoint(4, 0)) == RectangleId("A", 2, 0, 1, 0)
+        # A band (3, 0) of (2,3): x from k_3 = 3, k_4 = 8 wide, y < h_4 = 5.
+        band = Rectangle("A", 2, 0, 3, 10, 0, 4)
+        assert locate(table23, GridPoint(3, 2)) == band
+        assert locate(table23, GridPoint(4, 0)) == band
+        # Its partner A~: y from h_3 = 2, h_4 = 5 high, x < k_4 = 8.
+        assert locate_tilde(table23, GridPoint(0, 4)) == Rectangle("A~", 2, 0, 0, 7, 2, 6)
+        assert locate_tilde(table23, GridPoint(1, 0)) == Rectangle("P~", 0, 0, 1, 1, 0, 0)
 
     def test_rejects_negative(self, table23):
         with pytest.raises(ValueError):
             locate(table23, GridPoint(-1, 0))
+
+    def test_origin_has_no_tilde_rectangle(self, table23):
+        with pytest.raises(NoPredecessor):
+            locate_tilde(table23, GridPoint(0, 0))
 
     @pytest.mark.parametrize("fn", [locate, locate_tilde, next_point, prev_point])
     def test_rejects_float_coordinates(self, table23, fn):
@@ -67,40 +74,20 @@ class TestLocate:
         p = GridPoint(Index(3), Index(2))
         assert next_point(table23, p) == GridPoint(0, 4)
         assert prev_point(table23, GridPoint(Index(0), Index(4))) == GridPoint(3, 2)
-        assert locate(table23, p) == RectangleId("A", 2, 0, 0, 2)
+        assert locate(table23, p) == Rectangle("A", 2, 0, 3, 10, 0, 4)
 
+    @pytest.mark.parametrize("tilde", [False, True], ids=["source", "tilde"])
     @given(args=pair_args, p=points)
     @settings(max_examples=120)
-    def test_roundtrips(self, args, p):
-        table = table_for(*args)
-        rid = locate(table, p)
-        assert not rid.tilde
-        assert rectangle_point(table, rid) == p
-
-    @given(args=pair_args, p=points)
-    @settings(max_examples=120)
-    def test_tilde_roundtrips(self, args, p):
-        if p == (0, 0):
+    def test_rectangle_contains_the_point(self, tilde, args, p):
+        if tilde and p == (0, 0):
             return
         table = table_for(*args)
-        rid = locate_tilde(table, p)
-        assert rid.tilde
-        assert rectangle_point(table, rid) == p
-
-    @given(args=pair_args, p=points)
-    @settings(max_examples=80)
-    def test_offsets_within_extents(self, args, p):
-        table = table_for(*args)
-        rid = locate(table, p)
-        L = rid.level
-        if rid.family == "A":
-            assert 0 <= rid.band < table.quotient(2 * L + 1)
-            assert 0 <= rid.offset_r < table.k(2 * L)
-            assert 0 <= rid.offset_s < table.h(2 * L)
-        else:
-            assert 0 <= rid.band < table.quotient(2 * L + 2)
-            assert 0 <= rid.offset_r < table.k(2 * L + 1)
-            assert 0 <= rid.offset_s < table.h(2 * L + 1)
+        r = (locate_tilde if tilde else locate)(table, p)
+        assert type(r) is Rectangle
+        assert r.family in (("A~", "P~") if tilde else ("A", "P"))
+        assert r.x_min <= p.i <= r.x_max and r.y_min <= p.j <= r.y_max
+        assert r in rectangles_in_window(table, p.i + 1, p.j + 1, tilde=tilde)
 
 
 class TestNext:
@@ -221,24 +208,24 @@ class TestLookupAgainstTiling:
             for (x, y), rects in cover.items():
                 assert len(rects) == 1, (x, y, rects)
                 r = rects[0]
-                want = RectangleId(r.family[0], r.level, r.band, x - r.x_min, y - r.y_min, tilde)
-                assert lookup(swept, GridPoint(x, y)) == want
+                assert lookup(swept, GridPoint(x, y)) == r
         assert swept.depth == SWEEP_DEPTHS[(p1, p2)]
 
 
 class TestTranslation:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_carries_source_onto_tilde(self, p1, p2):
-        table = table_for(p1, p2).extend_to(8)
-        for family, level in (("A", 1), ("A", 2), ("P", 0), ("P", 1)):
-            dx, dy = translation(table, family, level, 0)
-            src = rectangle_point(table, RectangleId(family, level, 0, 0, 0))
-            tld = rectangle_point(table, RectangleId(family, level, 0, 0, 0, tilde=True))
-            assert (src.i + dx, src.j + dy) == tld
-
-    def test_unknown_family(self, table23):
-        with pytest.raises(ValueError):
-            translation(table23, "Q", 1, 0)
+        # next_point moves each point of a source rectangle to the same offset
+        # in its tilde partner, and that partner has the same extents.
+        table = table_for(p1, p2)
+        for x in range(40):
+            for y in range(40):
+                src = locate(table, GridPoint(x, y))
+                q = next_point(table, GridPoint(x, y))
+                tld = locate_tilde(table, q)
+                assert tld[:3] == (src.family + "~", src.level, src.band)
+                assert (tld.width, tld.height) == (src.width, src.height)
+                assert (q.i - tld.x_min, q.j - tld.y_min) == (x - src.x_min, y - src.y_min)
 
 
 class TestValue:

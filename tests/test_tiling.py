@@ -220,14 +220,12 @@ class TestRunPainterMatchesCellReference:
 class TestTranslationConsistency:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_source_plus_translation_is_tilde_partner(self, p1, p2):
-        from lattice_succ import translation
-
         table = table_for(p1, p2)
         sources = rectangles_in_window(table, 60, 60)
-        shifts = {
-            (r.family, r.level, r.band): translation(table, r.family, r.level, r.band)
-            for r in sources
-        }
+        shifts = {}  # each taken from the successor of the source's lower-left corner
+        for r in sources:
+            q = next_point(table, GridPoint(r.x_min, r.y_min))
+            shifts[(r.family, r.level, r.band)] = (q.i - r.x_min, q.j - r.y_min)
         # a tilde window just large enough to contain every translated partner
         W2 = max(r.x_max + shifts[(r.family, r.level, r.band)][0] for r in sources) + 1
         H2 = max(r.y_max + shifts[(r.family, r.level, r.band)][1] for r in sources) + 1
