@@ -76,6 +76,33 @@ class TestLocate:
         assert prev_point(table23, GridPoint(Index(0), Index(4))) == GridPoint(3, 2)
         assert locate(table23, p) == Rectangle("A", 2, 0, 3, 10, 0, 4)
 
+    @given(args=pair_args, p=points)
+    @settings(max_examples=120)
+    def test_roundtrips(self, args, p):
+        # point -> rectangle -> its corners -> the same rectangle, and the
+        # point's offset inside it gives the point back.
+        table = table_for(*args)
+        r = locate(table, p)
+        for corner in ((r.x_min, r.y_min), (r.x_max, r.y_max)):
+            assert locate(table, GridPoint(*corner)) == r
+        dx, dy = p.i - r.x_min, p.j - r.y_min
+        assert GridPoint(r.x_min + dx, r.y_min + dy) == p
+
+    @given(args=pair_args, p=points)
+    @settings(max_examples=80)
+    def test_offsets_within_extents(self, args, p):
+        table = table_for(*args)
+        r = locate(table, p)
+        L = r.level
+        dx, dy = p.i - r.x_min, p.j - r.y_min
+        if r.family == "A":
+            assert 0 <= r.band < table.quotient(2 * L + 1)
+            assert (r.width, r.height) == (table.k(2 * L), table.h(2 * L))
+        else:
+            assert 0 <= r.band < table.quotient(2 * L + 2)
+            assert (r.width, r.height) == (table.k(2 * L + 1), table.h(2 * L + 1))
+        assert 0 <= dx < r.width and 0 <= dy < r.height
+
     @pytest.mark.parametrize("tilde", [False, True], ids=["source", "tilde"])
     @given(args=pair_args, p=points)
     @settings(max_examples=120)
