@@ -6,8 +6,12 @@ quotient a_{m+1} is the largest t for which the mediant
 convergent m-1, each probe one exact `compare_fraction` (a certified float or
 decimal-log comparison, big-integer powers only for the smallest operands).
 
-`_rectangle` finds the rectangle holding a grid cell in either partition;
-`_bands` enumerates the mediant chains for the tiling and the verifiers.
+Beside the flat lists of a, h and k the table keeps h and k split by index
+parity: the even-index convergents lie below alpha and carry the P bands,
+the odd-index ones above it carry the A bands. `_rectangle` finds the
+rectangle holding a grid cell in either partition by bisecting the list of
+one parity; `_bands` enumerates the mediant chains for the tiling and the
+verifiers.
 """
 
 from __future__ import annotations
@@ -37,10 +41,14 @@ class ConvergentTable:
     """Lazily extended table of partial quotients and primary convergents.
 
     Index i holds (a_i, h_i, k_i), with a_0 = 0, h_0 = 0, k_0 = 1, in three
-    flat append-only lists. A row is appended list by list, k last, and the
-    depth is read from k, so a reader never sees a partial row. Extension
-    holds a per-table lock and re-checks the depth under it; lookups take no
-    lock.
+    flat append-only lists. Four more hold h and k by index parity:
+    `_h_even[m]` = h_{2m}, `_h_odd[m]` = h_{2m+1}, and `_k_even`, `_k_odd`
+    alike. Extension holds a per-table lock and re-checks under it; lookups
+    take no lock. A row is appended list by list in the order a, h, h of its
+    parity, k of its parity, k, and rows in index order, so a reader that
+    sees any entry of row i sees every list of the rows before it complete:
+    the depth, read from k, covers whole rows, and a lookup that finds entry
+    m + 1 in a parity list may read entry m of any of the four.
 
     The probes for row depth+1 depend only on the stored rows and the pair,
     so a row the bit budget refused is refused again on every attempt. The
@@ -54,6 +62,8 @@ class ConvergentTable:
         self._a = [0]
         self._h = [0]
         self._k = [1]
+        self._h_even, self._h_odd = [0], []
+        self._k_even, self._k_odd = [1], []
         self._lock = allocate_lock()
         self._wall: str | None = None  # message of the BudgetExceeded that refused row depth+1
 
@@ -100,10 +110,10 @@ class ConvergentTable:
             raise ValueError(f"seq must be 'h' or 'k', got {seq!r}")
         if parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {parity}")
-        values = self._h if seq == "h" else self._k
-        if not _last_exceeds(values, len(self._k) - 1, parity, above):
+        values = ((self._h_even, self._h_odd) if seq == "h" else (self._k_even, self._k_odd))[parity]
+        if not values or values[-1] <= above:
             with self._lock:
-                while not _last_exceeds(values, len(self._k) - 1, parity, above):
+                while not values or values[-1] <= above:
                     self._append_row()
         return self
 
@@ -141,9 +151,16 @@ class ConvergentTable:
             self._wall = str(exc)  # written under the lock
             raise
         a = lo
+        h, k = hp + a * hm, kp + a * km
         self._a.append(a)
-        self._h.append(hp + a * hm)
-        self._k.append(kp + a * km)
+        self._h.append(h)
+        if m % 2:  # the new row m + 1 is even
+            self._h_even.append(h)
+            self._k_even.append(k)
+        else:
+            self._h_odd.append(h)
+            self._k_odd.append(k)
+        self._k.append(k)
 
 
 def _last(m: int, parity: int) -> int:
@@ -151,54 +168,48 @@ def _last(m: int, parity: int) -> int:
     return m - (m - parity) % 2
 
 
-def _last_exceeds(values: list[int], depth: int, parity: int, c: int) -> bool:
-    """Whether the last stored entry of the given parity exceeds c."""
-    last = _last(depth, parity)
-    return last >= 0 and values[last] > c
+def _rectangle(
+    table: ConvergentTable, ue: list[int], uo: list[int], ve: list[int], vo: list[int], c: int, d: int
+) -> tuple[str, int, int, int]:
+    """(family, m, t, rem) of the rectangle holding the grid cell (c, d).
 
-
-def _rectangle(table: ConvergentTable, u: list[int], v: list[int], c: int, d: int) -> tuple[str, int, int, int]:
-    """(family, n, t, rem) of the rectangle holding the grid cell (c, d).
-
-    Source partition: u, v = h, k and (c, d) = (y, x); tilde: u, v = k, h and
-    (c, d) = (x, y). A P cell has c at offset rem in band (n, t) of even n over
-    u, which starts at u[n] + t*u[n+1], and d < v[n+1]; any other cell is an A
-    cell, with d in a band of odd n over v and c < u[n+1]. Cells with c < u[0]
+    ue, uo, ve, vo are the even and odd parity lists of u and v. Source
+    partition: u, v = h, k and (c, d) = (y, x); tilde: u, v = k, h and
+    (c, d) = (x, y). A P cell lies in band (n, t) of n = 2m: c at offset rem
+    from u_n + t*u_{n+1} = ue[m] + t*uo[m], and d < v_{n+1} = vo[m]. Any other
+    cell is an A cell in band (n, t) of n = 2m + 1: d at offset rem from
+    vo[m] + t*ve[m + 1], and c < u_{n+1} = ue[m + 1]. Cells with c < u_0
     (tilde, x = 0) are A cells; (0, 0) has no tilde rectangle. Only _grow grows.
     """
-    depth = len(table._k) - 1
-    if c >= u[0]:
-        if u[depth - depth % 2] <= c:  # the last even entry
-            depth = _grow(table, u, 0, c)
-        n = bisect_right(u, c, 0, depth + 1) - 1
-        n -= n % 2
-        t, rem = divmod(c - u[n], u[n + 1])
-        if d < v[n + 1]:
-            return "P", n, t, rem
+    if c >= ue[0]:
+        if ue[-1] <= c:
+            _grow(table, ue, c)
+        m = bisect_right(ue, c) - 1
+        if d < vo[m]:
+            t, rem = divmod(c - ue[m], uo[m])
+            return "P", m, t, rem
     elif not d:
         raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
-    last = depth - (depth - 1) % 2  # the last odd index, -1 at depth 0
-    if last < 0 or v[last] <= d:
-        depth = _grow(table, v, 1, d)
-    n = bisect_right(v, d, 0, depth + 1) - 1
-    n -= (n - 1) % 2
-    t, rem = divmod(d - v[n], v[n + 1])
-    if c >= u[n + 1]:
+    if not vo or vo[-1] <= d:
+        _grow(table, vo, d)
+    m = bisect_right(vo, d) - 1
+    if c >= ue[m + 1]:
         raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
-    return "A", n, t, rem
+    t, rem = divmod(d - vo[m], ve[m + 1])
+    return "A", m, t, rem
 
 
-def _grow(table: ConvergentTable, values: list[int], parity: int, c: int) -> int:
-    """_rectangle's slow path: grow until the last entry of that parity exceeds c; the new depth.
+def _grow(table: ConvergentTable, values: list[int], c: int) -> None:
+    """_rectangle's slow path: grow until the last entry of values, one of the parity lists, exceeds c.
 
-    Past a known wall no row is ever appended, so the depth read after the
+    Past a known wall no row is ever appended, so the list read after the
     wall is final: if it still falls short, refuse here, without extend_until.
     """
-    # Re-read the depth: a concurrent extension may have passed c before the wall was set.
-    if table._wall is not None and not _last_exceeds(values, len(table._k) - 1, parity, c):
+    # Re-read the list: a concurrent extension may have passed c before the wall was set.
+    if table._wall is not None and (not values or values[-1] <= c):
         raise BudgetExceeded(table._wall)
-    table.extend_until(c, "h" if values is table._h else "k", parity)
-    return len(table._k) - 1
+    seq = "h" if values is table._h_even or values is table._h_odd else "k"
+    table.extend_until(c, seq, 1 if values is table._h_odd or values is table._k_odd else 0)
 
 
 def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterator[tuple[int, int, int, int]]:

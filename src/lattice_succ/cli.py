@@ -158,6 +158,14 @@ def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
+    W, H = args.window
+    if W < 1 or H < 1:
+        raise ValueError(f"--window must be positive, got {W}x{H}")
+    scan = args.scan
+    depth = args.depth
+    _check_count("--scan", scan)
+    _check_count("--depth", depth)
+
     from .oracle import enumerate_sorted
     from .sequences import (
         minimal_fractional_subsequences,
@@ -167,11 +175,6 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     )
     from .tiling import verify_partition
 
-    W, H = args.window
-    scan = args.scan
-    depth = args.depth
-    _check_count("--scan", scan)
-    _check_count("--depth", depth)
     table = ConvergentTable(pair)
     records: list[dict] = []
 

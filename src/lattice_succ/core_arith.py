@@ -55,7 +55,7 @@ class NoPredecessor(LatticeError):
 
 
 class NonIntegerArgument(LatticeError, TypeError):
-    """A generator, budget or index that is not an integer (has no __index__)."""
+    """A generator, budget or index that is not an integer (has no __index__), or a non-pair grid point."""
 
 
 class GeneratorPair:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _rectangle
 # NoPredecessor is raised in cf_engine._rectangle and exported from here.
-from .core_arith import BudgetExceeded, GeneratorPair, NoPredecessor, _integer
+from .core_arith import BudgetExceeded, GeneratorPair, NoPredecessor, NonIntegerArgument, _integer
 
 
 class GridPoint(NamedTuple):
@@ -28,11 +28,17 @@ _point = tuple.__new__  # _point(GridPoint, (i, j)) skips the Python-level Named
 
 
 def _coords(p) -> tuple[int, int]:
-    """Integer coordinates of p; anything without __index__ raises NonIntegerArgument."""
-    i, j = p
+    """Integer coordinates of p; a non-pair or a coordinate without __index__ raises NonIntegerArgument."""
+    try:
+        i, j = p
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}") from None
     try:
         x, y = index(i), index(j)
-    except TypeError:  # redone one at a time so the error names the bad coordinate
+    except TypeError:
+        if isinstance(p, str):  # its two characters are not coordinates
+            raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}") from None
+        # redone one at a time so the error names the bad coordinate
         x, y = _integer(i, "i"), _integer(j, "j")
     if x < 0 or y < 0:
         raise ValueError(f"grid point must be non-negative, got {tuple(p)}")
@@ -41,13 +47,19 @@ def _coords(p) -> tuple[int, int]:
 
 def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the successor of p1^i * p2^j in sorted S."""
+    # Two non-negative exact ints pass; anything else goes through _coords and its errors.
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        x, y = _coords(p)
+    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+        x, y = _coords(p)
     # Adding the translation leaves the band offset rem on the band's axis.
-    x, y = _coords(p)
-    h, k = table._h, table._k
-    family, n, t, rem = _rectangle(table, h, k, y, x)
+    he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
+    family, m, t, rem = _rectangle(table, he, ho, ke, ko, y, x)
     if family == "P":
-        return _point(GridPoint, (x + k[n] + t * k[n + 1], rem))
-    return _point(GridPoint, (rem, y + h[n] + t * h[n + 1]))
+        return _point(GridPoint, (x + ke[m] + t * ko[m], rem))
+    return _point(GridPoint, (rem, y + ho[m] + t * he[m + 1]))
 
 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
@@ -56,27 +68,33 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     x, y = _coords(p)
-    h, k = table._h, table._k  # append-only, so rows added mid-walk show here
+    # append-only, so rows added mid-walk show here
+    he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
     out = []
     for _ in range(n):
-        family, m, t, rem = _rectangle(table, h, k, y, x)
+        family, m, t, rem = _rectangle(table, he, ho, ke, ko, y, x)
         if family == "P":
-            x, y = x + k[m] + t * k[m + 1], rem
+            x, y = x + ke[m] + t * ko[m], rem
         else:
-            x, y = rem, y + h[m] + t * h[m + 1]
+            x, y = rem, y + ho[m] + t * he[m + 1]
         out.append(_point(GridPoint, (x, y)))
     return out
 
 
 def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the predecessor; raises NoPredecessor at (0, 0)."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        x, y = _coords(p)
+    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+        x, y = _coords(p)
     # Undoing the translation leaves the band offset rem on the band's axis.
-    x, y = _coords(p)
-    h, k = table._h, table._k
-    family, n, t, rem = _rectangle(table, k, h, x, y)
+    he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
+    family, m, t, rem = _rectangle(table, ke, ko, he, ho, x, y)
     if family == "P":
-        return _point(GridPoint, (rem, y + h[n] + t * h[n + 1]))
-    return _point(GridPoint, (x + k[n] + t * k[n + 1], rem))
+        return _point(GridPoint, (rem, y + he[m] + t * ho[m]))
+    return _point(GridPoint, (x + ko[m] + t * ke[m + 1], rem))
 
 
 def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:

@@ -84,15 +84,15 @@ def _band_rectangle(table: ConvergentTable, family: str, n: int, t: int, along_x
 def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The source rectangle ("A" or "P") holding p, as `rectangles_in_window` reports it."""
     x, y = _coords(p)
-    family, n, t, _ = _rectangle(table, table._h, table._k, y, x)
-    return _band_rectangle(table, family, n, t, family == "A")
+    family, m, t, _ = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
+    return _band_rectangle(table, family, 2 * m + (family == "A"), t, family == "A")
 
 
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The translated rectangle ("A~" or "P~") holding p != (0, 0), as `rectangles_in_window` reports it."""
     x, y = _coords(p)
-    family, n, t, _ = _rectangle(table, table._k, table._h, x, y)
-    return _band_rectangle(table, family + "~", n, t, family == "P")
+    family, m, t, _ = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
+    return _band_rectangle(table, family + "~", 2 * m + (family == "A"), t, family == "P")
 
 
 def rectangles_in_window(

@@ -17,9 +17,12 @@ from lattice_succ import (
     cf_engine,
     compare_fraction,
     core_arith,
+    locate,
+    locate_tilde,
     next_point,
     prev_point,
     validate_pair,
+    walk,
 )
 from lattice_succ.cf_engine import _bands
 
@@ -137,6 +140,79 @@ def test_concurrent_extension_matches_single_thread():
         sys.setswitchinterval(interval)
 
 
+def _assert_parity_lists(table):
+    """The four parity lists are the flat h and k split by index parity."""
+    assert table._h_even == table._h[0::2] and table._h_odd == table._h[1::2]
+    assert table._k_even == table._k[0::2] and table._k_odd == table._k[1::2]
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_parity_lists_follow_the_flat_lists(p1, p2):
+    table = ConvergentTable(pair_for(p1, p2))
+    _assert_parity_lists(table)  # depth 0: the odd lists are empty
+    for step in (
+        lambda: table.extend_to(3),
+        lambda: table.extend_until(50, "h", 0),
+        lambda: table.extend_until(200, "k", 1),
+        lambda: next_point(table, GridPoint(300, 40)),
+        lambda: prev_point(table, GridPoint(40, 300)),
+        lambda: locate_tilde(table, GridPoint(900, 0)),
+        lambda: walk(table, GridPoint(0, 0), 2000),
+    ):
+        step()
+        _assert_parity_lists(table)
+    assert table.depth > 4  # the queries grew the table past extend_to(3)
+
+
+def test_concurrent_lookups_match_single_thread():
+    # walk, locate and locate_tilde grow a fresh table from four threads;
+    # lock-free readers must never see a row in one list and not another.
+    def outcome(table, query, arg):
+        try:
+            if query == "walk":
+                return walk(table, arg, 40)
+            return (locate if query == "locate" else locate_tilde)(table, arg)
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    rng = random.Random(7)
+    queries = [("walk", GridPoint(rng.randrange(400), rng.randrange(400))) for _ in range(8)]
+    queries += [
+        (query, GridPoint(int(10 ** rng.uniform(0, 4)), int(10 ** rng.uniform(0, 4))))
+        for query in ("locate", "locate_tilde")
+        for _ in range(40)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for p1, p2 in PAIR_ARGS:
+            reference = ConvergentTable(pair_for(p1, p2))
+            want = [outcome(reference, *q) for q in queries]
+            for trial in range(10):
+                table = ConvergentTable(pair_for(p1, p2))
+                start = threading.Barrier(4, timeout=60)
+                got = [dict() for _ in range(4)]
+
+                def run(seen, order):
+                    start.wait()
+                    for idx in order:
+                        seen[idx] = outcome(table, *queries[idx])
+
+                orders = [random.Random(trial * 4 + n).sample(range(len(queries)), len(queries)) for n in range(4)]
+                threads = [threading.Thread(target=run, args=(got[n], orders[n])) for n in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for seen in got:
+                    assert [seen[idx] for idx in range(len(queries))] == want, (p1, p2, trial)
+                assert table.depth == reference.depth
+                _assert_parity_lists(table)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_index_beyond_table():
     table = ConvergentTable(pair_for(2, 3))
     with pytest.raises(IndexBeyondTable):
@@ -249,6 +325,27 @@ class TestRememberedWall:
             assert _hit_wall(table) == first
         assert table.depth == depth
 
+    @pytest.mark.parametrize("budget", [64, 400])
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_a_refused_row_appends_to_no_list(self, p1, p2, budget):
+        table = ConvergentTable(validate_pair(p1, p2, bit_budget=budget))
+        _, _, depth = _hit_wall(table)
+        _assert_parity_lists(table)
+        lists = (table._a, table._h, table._k, table._h_even, table._h_odd, table._k_even, table._k_odd)
+        lengths = [len(values) for values in lists]
+        past = _past_wall(table)
+        for call in (
+            lambda: table.extend_to(depth + 1),
+            lambda: table.extend_until(max(table._h), "h", 0),
+            lambda: table.extend_until(max(table._k), "k", 1),
+            lambda: next_point(table, past),
+            lambda: prev_point(table, past),
+            lambda: locate_tilde(table, past),
+        ):
+            _refusal(call)
+            _assert_parity_lists(table)
+            assert [len(values) for values in lists] == lengths
+
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_known_wall_makes_no_comparison(self, p1, p2, monkeypatch):
         table = ConvergentTable(validate_pair(p1, p2))
@@ -344,17 +441,20 @@ class TestRememberedWall:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("seam", ["_grow", "_last_exceeds"], ids=["in_band", "in_extend_until"])
+    @pytest.mark.parametrize("seam", ["_grow", "extend_until"], ids=["in_band", "in_extend_until"])
     def test_extension_between_depth_read_and_wall_read(self, monkeypatch, seam):
         # The race above, forced: another extension runs to the wall at the
-        # first call of the seam, after a depth read and before the wall check.
-        # _grow is entered after _rectangle's depth read; on a fresh table the
-        # first _last_exceeds call is extend_until's unlocked check. Neither
-        # seam holds the table lock, so the competing extension can take it.
+        # first call of the seam, after a read of the table and before the
+        # wall check. _grow is entered after _rectangle's read of the last
+        # entry of a parity list; on a fresh table extend_until is entered
+        # from _grow after its wall read, just before extend_until's unlocked
+        # check of that list. Neither seam holds the table lock, so the
+        # competing extension can take it.
         pair = validate_pair(2, 3, bit_budget=400)
         reference = ConvergentTable(pair)
         _, _, depth = _hit_wall(reference)
-        real = getattr(cf_engine, seam)
+        owner = cf_engine if seam == "_grow" else ConvergentTable
+        real = getattr(owner, seam)
         answered = 0
         for query in (next_point, prev_point):
             for p in (GridPoint(x, y) for x in range(0, 100, 9) for y in range(0, 60, 4) if x or y):
@@ -372,9 +472,9 @@ class TestRememberedWall:
                             table.extend_to(depth + 1)
                     return real(*args)
 
-                monkeypatch.setattr(cf_engine, seam, interleaved)
+                monkeypatch.setattr(owner, seam, interleaved)
                 got = query(table, p)
-                monkeypatch.setattr(cf_engine, seam, real)
+                monkeypatch.setattr(owner, seam, real)
                 assert got == want and calls and table._wall is not None, p
                 answered += 1
         assert answered > 100

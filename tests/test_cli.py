@@ -322,6 +322,8 @@ def test_verify_rejects_a_count_below_one(capsys, flag, value):
         (["gaps", "--levels", "-1", "--family", "P"], "--levels must be non-negative, got -1"),
         (["enum", "--count", "0"], "--count must be positive, got 0"),
         (["enum", "--count", "-1"], "--count must be positive, got -1"),
+        (["verify", "--window", "0x5"], "--window must be positive, got 0x5"),
+        (["verify", "--window", "5x-1"], "--window must be positive, got 5x-1"),
     ],
 )
 def test_a_count_with_no_output_is_refused(capsys, argv, err):

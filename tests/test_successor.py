@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,3 +341,32 @@ def test_non_integer_coordinate_is_named(p, name):
     for query in (next_point, prev_point):
         with pytest.raises(NonIntegerArgument, match=f"^{name} must be an integer, got {p[name == 'j']!r}$"):
             query(_table23, p)
+
+
+_POINT_TAKERS = [
+    lambda p: next_point(_table23, p),
+    lambda p: prev_point(_table23, p),
+    lambda p: walk(_table23, p, 3),
+    lambda p: locate(_table23, p),
+    lambda p: locate_tilde(_table23, p),
+    lambda p: value(_pair23, p),
+    lambda p: naive_next(_pair23, p, "affine"),
+]
+
+
+@pytest.mark.parametrize("p", [5, None, (1, 2, 3), (1,), "12", 2.5], ids=repr)
+@pytest.mark.parametrize(
+    "call", _POINT_TAKERS, ids=["next_point", "prev_point", "walk", "locate", "locate_tilde", "value", "naive_next"]
+)
+def test_a_point_that_is_not_a_pair_is_named_whole(call, p):
+    # A LatticeError, and a TypeError like the other NonIntegerArguments.
+    with pytest.raises(NonIntegerArgument, match=f"^grid point must be a pair of integers, got {re.escape(repr(p))}$"):
+        call(p)
+
+
+@pytest.mark.parametrize("p", [(3, 2), [3, 2], (True, 2), (3, False)], ids=repr)
+def test_pairs_of_integers_in_any_sequence_are_points(p):
+    # The fast path of next_point/prev_point takes exact ints; the rest goes through _coords.
+    q = (int(p[0]), int(p[1]))
+    assert next_point(_table23, p) == next_point(_table23, q)
+    assert prev_point(_table23, p) == prev_point(_table23, q)
