@@ -6,12 +6,14 @@ quotient a_{m+1} is the largest t for which the mediant
 convergent m-1, each probe one exact `compare_fraction` (a certified float or
 decimal-log comparison, big-integer powers only for the smallest operands).
 
-Beside the flat lists of a, h and k the table keeps h and k split by index
+The table keeps the quotients a in one list and h and k split by index
 parity: the even-index convergents lie below alpha and carry the P bands,
 the odd-index ones above it carry the A bands. `_rectangle` finds the
 rectangle holding a grid cell in either partition by bisecting the list of
-one parity; `_bands` enumerates the mediant chains for the tiling and the
-verifiers.
+one parity, and translates the cell onto its successor (or, in the tilde
+partition, its predecessor); `_bands` enumerates the mediant chains for the
+tiling and the verifiers. `_grow` is the one loop that grows the table until
+a parity list passes a value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core_arith import (
     BudgetExceeded,
     GeneratorPair,
     InternalConsistencyError,
+    InvalidArgument,
     LatticeError,
     NoPredecessor,
     _integer,
@@ -40,15 +43,18 @@ class IndexBeyondTable(LatticeError, IndexError):
 class ConvergentTable:
     """Lazily extended table of partial quotients and primary convergents.
 
-    Index i holds (a_i, h_i, k_i), with a_0 = 0, h_0 = 0, k_0 = 1, in three
-    flat append-only lists. Four more hold h and k by index parity:
-    `_h_even[m]` = h_{2m}, `_h_odd[m]` = h_{2m+1}, and `_k_even`, `_k_odd`
-    alike. Extension holds a per-table lock and re-checks under it; lookups
-    take no lock. A row is appended list by list in the order a, h, h of its
-    parity, k of its parity, k, and rows in index order, so a reader that
-    sees any entry of row i sees every list of the rows before it complete:
-    the depth, read from k, covers whole rows, and a lookup that finds entry
-    m + 1 in a parity list may read entry m of any of the four.
+    Row i is (a_i, h_i, k_i), with a_0 = 0, h_0 = 0, k_0 = 1. The quotients
+    are kept in `_a`, and h and k split by index parity: `_h_even[m]` = h_{2m},
+    `_h_odd[m]` = h_{2m+1}, and `_k_even`, `_k_odd` alike. These five
+    append-only lists and `_hk(i)`, which reads (h_i, k_i) from them, are the
+    table's read-only view for the rest of the package: readers index them and
+    never write to them.
+
+    Extension holds a per-table lock and re-checks under it; lookups take no
+    lock. A row is appended as h of its parity, k of its parity, then a, and
+    rows in index order. So the depth, read from `_a`, covers whole rows, and
+    seeing entry m + 1 of any parity list means entry m of all four is
+    complete.
 
     The probes for row depth+1 depend only on the stored rows and the pair,
     so a row the bit budget refused is refused again on every attempt. The
@@ -60,8 +66,6 @@ class ConvergentTable:
     def __init__(self, pair: GeneratorPair):
         self.pair = pair
         self._a = [0]
-        self._h = [0]
-        self._k = [1]
         self._h_even, self._h_odd = [0], []
         self._k_even, self._k_odd = [1], []
         self._lock = allocate_lock()
@@ -70,36 +74,42 @@ class ConvergentTable:
     @property
     def depth(self) -> int:
         """Highest stored convergent index."""
-        return len(self._k) - 1
+        return len(self._a) - 1
 
     def quotient(self, i: int) -> int:
         return self._a[self._check_index(i)]
 
     def h(self, i: int) -> int:
-        return self._h[self._check_index(i)]
+        return self._hk(self._check_index(i))[0]
 
     def k(self, i: int) -> int:
-        return self._k[self._check_index(i)]
+        return self._hk(self._check_index(i))[1]
 
     def _check_index(self, i: int) -> int:
-        if i < 0 or i >= len(self._k):
-            raise IndexBeyondTable(f"index {i} beyond table depth {len(self._k) - 1}")
+        if i < 0 or i >= len(self._a):
+            raise IndexBeyondTable(f"index {i} beyond table depth {len(self._a) - 1}")
         return i
+
+    def _hk(self, i: int) -> tuple[int, int]:
+        """(h_i, k_i) for a stored row i >= 0."""
+        if i & 1:
+            return self._h_odd[i >> 1], self._k_odd[i >> 1]
+        return self._h_even[i >> 1], self._k_even[i >> 1]
 
     @property
     def quotients(self) -> list[int]:
-        return self._a[: len(self._k)]
+        return self._a[:]
 
     @property
     def convergents(self) -> list[tuple[int, int]]:
-        return list(zip(self._h, self._k))
+        return [self._hk(i) for i in range(len(self._a))]
 
     def extend_to(self, i: int) -> "ConvergentTable":
         """Ensure quotients and convergents through index i are stored."""
         i = _integer(i, "index")
-        if len(self._k) <= i:
+        if len(self._a) <= i:
             with self._lock:
-                while len(self._k) <= i:
+                while len(self._a) <= i:
                     self._append_row()
         return self
 
@@ -107,14 +117,11 @@ class ConvergentTable:
         """Grow until the last index of the given parity has h or k > above."""
         above, parity = _integer(above, "above"), _integer(parity, "parity")
         if seq not in ("h", "k"):
-            raise ValueError(f"seq must be 'h' or 'k', got {seq!r}")
+            raise InvalidArgument(f"seq must be 'h' or 'k', got {seq!r}")
         if parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {parity}")
-        values = ((self._h_even, self._h_odd) if seq == "h" else (self._k_even, self._k_odd))[parity]
-        if not values or values[-1] <= above:
-            with self._lock:
-                while not values or values[-1] <= above:
-                    self._append_row()
+            raise InvalidArgument(f"parity must be 0 or 1, got {parity}")
+        lists = (self._h_even, self._h_odd) if seq == "h" else (self._k_even, self._k_odd)
+        _grow(self, lists[parity], above)
         return self
 
     def _append_row(self) -> None:
@@ -122,12 +129,9 @@ class ConvergentTable:
         # row it refused before. Fresh: re-raising one instance would grow its traceback.
         if self._wall is not None:
             raise BudgetExceeded(self._wall)
-        m = len(self._k) - 1
-        hm, km = self._h[m], self._k[m]
-        if m == 0:
-            hp, kp = 1, 0  # conventional convergent -1 = 1/0
-        else:
-            hp, kp = self._h[m - 1], self._k[m - 1]
+        m = len(self._a) - 1
+        hm, km = self._hk(m)
+        hp, kp = self._hk(m - 1) if m else (1, 0)  # conventional convergent -1 = 1/0
         # Convergent m-1 sits below alpha at even index, above at odd.
         side_prev = LESS if (m - 1) % 2 == 0 else GREATER
 
@@ -152,15 +156,13 @@ class ConvergentTable:
             raise
         a = lo
         h, k = hp + a * hm, kp + a * km
-        self._a.append(a)
-        self._h.append(h)
         if m % 2:  # the new row m + 1 is even
             self._h_even.append(h)
             self._k_even.append(k)
         else:
             self._h_odd.append(h)
             self._k_odd.append(k)
-        self._k.append(k)
+        self._a.append(a)
 
 
 def _last(m: int, parity: int) -> int:
@@ -170,16 +172,20 @@ def _last(m: int, parity: int) -> int:
 
 def _rectangle(
     table: ConvergentTable, ue: list[int], uo: list[int], ve: list[int], vo: list[int], c: int, d: int
-) -> tuple[str, int, int, int]:
-    """(family, m, t, rem) of the rectangle holding the grid cell (c, d).
+) -> tuple[str, int, int, int, int]:
+    """(family, m, t, c', d'): the rectangle holding the grid cell (c, d), and the cell it translates to.
 
     ue, uo, ve, vo are the even and odd parity lists of u and v. Source
-    partition: u, v = h, k and (c, d) = (y, x); tilde: u, v = k, h and
-    (c, d) = (x, y). A P cell lies in band (n, t) of n = 2m: c at offset rem
-    from u_n + t*u_{n+1} = ue[m] + t*uo[m], and d < v_{n+1} = vo[m]. Any other
-    cell is an A cell in band (n, t) of n = 2m + 1: d at offset rem from
-    vo[m] + t*ve[m + 1], and c < u_{n+1} = ue[m + 1]. Cells with c < u_0
-    (tilde, x = 0) are A cells; (0, 0) has no tilde rectangle. Only _grow grows.
+    partition: u, v = h, k and (c, d) = (y, x), and (c', d') is the
+    successor; tilde: u, v = k, h and (c, d) = (x, y), and (c', d') is the
+    predecessor. A P cell lies in band (n, t) of n = 2m: c at offset rem
+    from u_n + t*u_{n+1} = ue[m] + t*uo[m], and d < v_{n+1} = vo[m]; it
+    translates to (rem, d + ve[m] + t*vo[m]). Any other cell is an A cell in
+    band (n, t) of n = 2m + 1: d at offset rem from vo[m] + t*ve[m + 1], and
+    c < u_{n+1} = ue[m + 1]; it translates to (c + uo[m] + t*ue[m + 1], rem).
+    Either way the offset rem stays on the band's axis and the other
+    coordinate moves by the band's translation. Cells with c < u_0 (tilde,
+    x = 0) are A cells; (0, 0) has no tilde rectangle. Only _grow grows.
     """
     if c >= ue[0]:
         if ue[-1] <= c:
@@ -187,7 +193,7 @@ def _rectangle(
         m = bisect_right(ue, c) - 1
         if d < vo[m]:
             t, rem = divmod(c - ue[m], uo[m])
-            return "P", m, t, rem
+            return "P", m, t, rem, d + ve[m] + t * vo[m]
     elif not d:
         raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
     if not vo or vo[-1] <= d:
@@ -196,20 +202,22 @@ def _rectangle(
     if c >= ue[m + 1]:
         raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
     t, rem = divmod(d - vo[m], ve[m + 1])
-    return "A", m, t, rem
+    return "A", m, t, c + uo[m] + t * ue[m + 1], rem
 
 
 def _grow(table: ConvergentTable, values: list[int], c: int) -> None:
-    """_rectangle's slow path: grow until the last entry of values, one of the parity lists, exceeds c.
+    """Grow until the last entry of values, one of the table's parity lists, exceeds c.
 
-    Past a known wall no row is ever appended, so the list read after the
-    wall is final: if it still falls short, refuse here, without extend_until.
+    The list is re-read under the lock, so a row another thread appended
+    first counts, and a known wall refuses only a row that is still needed.
+    Past a known wall no row is ever appended, so a list read after the wall
+    is final: if it still falls short, refuse without the lock.
     """
-    # Re-read the list: a concurrent extension may have passed c before the wall was set.
     if table._wall is not None and (not values or values[-1] <= c):
         raise BudgetExceeded(table._wall)
-    seq = "h" if values is table._h_even or values is table._h_odd else "k"
-    table.extend_until(c, seq, 1 if values is table._h_odd or values is table._k_odd else 0)
+    with table._lock:
+        while not values or values[-1] <= c:
+            table._append_row()
 
 
 def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterator[tuple[int, int, int, int]]:
@@ -222,16 +230,19 @@ def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterato
     coordinate and is seq[n+1] wide. The table grows only as far as the last
     index these mediants need.
     """
-    a, h, k = table._a, table._h, table._k
-    values = h if seq == "h" else k
-    if len(k) <= parity:
+    a, even, odd = table._a, (table._h_even, table._k_even), (table._h_odd, table._k_odd)
+    # Row n = 2m + parity is entry m of its parity's lists, row n + 1 entry m + parity of the other's.
+    (hs, ks), (dhs, dks) = (even, odd) if parity == 0 else (odd, even)
+    values, widths = (ks, dks) if seq == "k" else (hs, dhs)
+    if len(a) <= parity:
         table.extend_to(parity)
-    n = parity
-    while values[n] < limit:
-        if len(k) <= n + 2:
+    m = 0
+    while values[m] < limit:
+        n, j = 2 * m + parity, m + parity
+        if len(a) <= n + 2:
             table.extend_to(n + 2)
-        h0, k0, dh, dk = h[n], k[n], h[n + 1], k[n + 1]
+        h0, k0, dh, dk = hs[m], ks[m], dhs[j], dks[j]
         # t*seq[n+1] < limit - seq[n] exactly for t below the ceiling of their ratio
-        for t in range(min(a[n + 2], -((values[n] - limit) // values[n + 1]))):
+        for t in range(min(a[n + 2], -((values[m] - limit) // widths[j]))):
             yield n, t, h0 + t * dh, k0 + t * dk
-        n += 2
+        m += 1

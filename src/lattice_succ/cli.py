@@ -105,25 +105,13 @@ def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
 
 
 def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
-    from .tiling import rectangles_in_window
+    from .tiling import Rectangle, rectangles_in_window
 
     _check_count("--width", args.width)
     _check_count("--height", args.height)
     table = ConvergentTable(pair)
     rects = rectangles_in_window(table, args.width, args.height, tilde=args.tilde)
-    records = [
-        {
-            "family": r.family,
-            "level": r.level,
-            "band": r.band,
-            "x_min": r.x_min,
-            "x_max": r.x_max,
-            "y_min": r.y_min,
-            "y_max": r.y_max,
-        }
-        for r in rects
-    ]
-    _emit(records, ["family", "level", "band", "x_min", "x_max", "y_min", "y_max"], args.fmt, out)
+    _emit([r._asdict() for r in rects], list(Rectangle._fields), args.fmt, out)
     if args.svg:
         from .svg import render_tiling_svg  # only this handler draws
 

@@ -54,6 +54,10 @@ class NoPredecessor(LatticeError):
     """(0, 0) is the least element of S."""
 
 
+class InvalidArgument(LatticeError, ValueError):
+    """An argument of the right type whose value is out of range, such as a negative grid point."""
+
+
 class NonIntegerArgument(LatticeError, TypeError):
     """A generator, budget or index that is not an integer (has no __index__), or a non-pair grid point."""
 
@@ -251,7 +255,7 @@ def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
     """
     h, k = _integer(h, "h"), _integer(k, "k")
     if h < 0 or k < 0 or (h == 0 and k == 0):
-        raise ValueError(f"invalid fraction {h}/{k}")
+        raise InvalidArgument(f"invalid fraction {h}/{k}")
     return -_affine_sign(pair, k, h)
 
 
@@ -275,7 +279,7 @@ def f(pair: GeneratorPair, n: int) -> int:
     """
     n = _integer(n, "n")
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise InvalidArgument(f"n must be positive, got {n}")
     if n.bit_length() <= 52:
         lp1, lp2 = pair._log2
         k = int(n * lp2 / lp1) + 1

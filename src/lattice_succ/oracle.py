@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 
-from .core_arith import LESS, AffineForm, GeneratorPair, ZERO_FORM, _integer, compare_affine
+from .core_arith import LESS, AffineForm, GeneratorPair, InvalidArgument, ZERO_FORM, _integer, compare_affine
 from .successor import GridPoint, _check_value_budget, _coords, _point, value
 
 
@@ -41,7 +41,7 @@ class SortedStream:
 
     def __init__(self, pair: GeneratorPair, key: str = "value"):
         if key not in ("value", "affine"):
-            raise ValueError(f"key must be 'value' or 'affine', got {key!r}")
+            raise InvalidArgument(f"key must be 'value' or 'affine', got {key!r}")
         self.pair = pair
         self.key = key
         self.last_value: int | None = None
@@ -68,7 +68,7 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
     """First `count` elements of S as (coordinates, exact value); refuses where value() would."""
     count = _integer(count, "count")
     if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+        raise InvalidArgument(f"count must be positive, got {count}")
     stream = SortedStream(pair)
     out = []
     for _ in range(count):

@@ -15,6 +15,7 @@ from .core_arith import (
     BudgetExceeded,
     GeneratorPair,
     InternalConsistencyError,
+    InvalidArgument,
     _affine_sign,
     _integer,
     compare_affine,
@@ -56,7 +57,7 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
     max_index = _integer(max_index, "max_index")
     table.extend_to(max_index + 1)
     pair = table.pair
-    a, h, k = table._a, table._h, table._k
+    a, hk = table._a, table._hk
     report = VerifyReport(ok=True, checked=0)
     if max_index < 1:
         return report  # no band ends within max_index + 1
@@ -73,11 +74,11 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
             )
 
     for parity in (0, 1):
-        for base, t, hn, kn in _bands(table, "k", parity, k[_last(max_index + 1, parity)]):
+        for base, t, hn, kn in _bands(table, "k", parity, hk(_last(max_index + 1, parity))[1]):
             if t or parity:  # the even family starts each band at t = 1
                 check(parity, base, t, hn, kn)
             if t == a[base + 2] - 1:
-                check(parity, base, t + 1, h[base + 2], k[base + 2])
+                check(parity, base, t + 1, *hk(base + 2))
     return report
 
 
@@ -103,8 +104,9 @@ def _chain(table: ConvergentTable, parity: int, max_index: int) -> list[tuple[in
     k below k_last.
     """
     last = _last(max_index, parity)
-    chain = [(h, k) for _, _, h, k in _bands(table, "k", parity, table._k[last])]
-    chain.append((table._h[last], table._k[last]))
+    end = table._hk(last)
+    chain = [(h, k) for _, _, h, k in _bands(table, "k", parity, end[1])]
+    chain.append(end)
     return chain
 
 
@@ -146,7 +148,7 @@ def minimal_fractional_subsequences(
     """
     N = _integer(N, "N")
     if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+        raise InvalidArgument(f"N must be positive, got {N}")
     pair = table.pair
     p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
     # log2(p2) > 1, so the first test also keeps an N too large for a float out of the second.
@@ -192,11 +194,11 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
     n-chain: walk from h_0 = 0 by h_{2i-1} repeated a_{2i} times (i >= 1),
     dropping the initial 0; m-chain: walk from h_1 by h_{2i} repeated
     a_{2i+1} times (i >= 1). These walks visit exactly the even and the odd
-    mediant chains over h. N < 1 raises ValueError, as the record scan does.
+    mediant chains over h. N < 1 raises InvalidArgument, as the record scan does.
     """
     N = _integer(N, "N")
     if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+        raise InvalidArgument(f"N must be positive, got {N}")
     n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]
     m_chain = [h for _, _, h, _ in _bands(table, "h", 1, N + 1)]
     return n_chain, m_chain

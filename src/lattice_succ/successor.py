@@ -5,18 +5,24 @@ fraction of alpha (see `tiling.locate`). A translation built from a primary
 or secondary convergent carries each rectangle onto its tilde partner and
 every element onto its successor in sorted S; undoing the translation of the
 tilde rectangle holding a point gives its predecessor. Each query is one
-`cf_engine._rectangle` call plus that translation, written out inline in
-`next_point`, `prev_point` and `walk`.
+`cf_engine._rectangle` call, which finds the rectangle and applies its
+translation: over h, k it gives the successor, over k, h the predecessor.
 """
 
 from __future__ import annotations
 
-from operator import index
 from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _rectangle
 # NoPredecessor is raised in cf_engine._rectangle and exported from here.
-from .core_arith import BudgetExceeded, GeneratorPair, NoPredecessor, NonIntegerArgument, _integer
+from .core_arith import (
+    BudgetExceeded,
+    GeneratorPair,
+    InvalidArgument,
+    NoPredecessor,
+    NonIntegerArgument,
+    _integer,
+)
 
 
 class GridPoint(NamedTuple):
@@ -28,55 +34,39 @@ _point = tuple.__new__  # _point(GridPoint, (i, j)) skips the Python-level Named
 
 
 def _coords(p) -> tuple[int, int]:
-    """Integer coordinates of p; a non-pair or a coordinate without __index__ raises NonIntegerArgument."""
-    try:
-        i, j = p
-    except (TypeError, ValueError):  # not iterable, or not two items
-        raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}") from None
-    try:
-        x, y = index(i), index(j)
-    except TypeError:
-        if isinstance(p, str):  # its two characters are not coordinates
-            raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}") from None
-        # redone one at a time so the error names the bad coordinate
-        x, y = _integer(i, "i"), _integer(j, "j")
+    """Integer coordinates of p, a tuple or list pair of integers; anything else raises NonIntegerArgument."""
+    if not isinstance(p, (tuple, list)) or len(p) != 2:  # bytes, range and the like are not points
+        raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}")
+    x, y = _integer(p[0], "i"), _integer(p[1], "j")  # the error names the first bad coordinate
     if x < 0 or y < 0:
-        raise ValueError(f"grid point must be non-negative, got {tuple(p)}")
+        raise InvalidArgument(f"grid point must be non-negative, got {tuple(p)}")
     return x, y
 
 
 def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
     """Coordinates of the successor of p1^i * p2^j in sorted S."""
-    # Two non-negative exact ints pass; anything else goes through _coords and its errors.
+    # A tuple of two non-negative exact ints passes; anything else goes through _coords and its errors.
     try:
         x, y = p
     except (TypeError, ValueError):
         x, y = _coords(p)
-    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+    if type(x) is not int or type(y) is not int or x < 0 or y < 0 or not isinstance(p, tuple):
         x, y = _coords(p)
-    # Adding the translation leaves the band offset rem on the band's axis.
-    he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
-    family, m, t, rem = _rectangle(table, he, ho, ke, ko, y, x)
-    if family == "P":
-        return _point(GridPoint, (x + ke[m] + t * ko[m], rem))
-    return _point(GridPoint, (rem, y + ho[m] + t * he[m + 1]))
+    _, _, _, y, x = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
+    return _point(GridPoint, (x, y))
 
 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     """The n successors of p in sorted S: next_point iterated n times in one call."""
     n = _integer(n, "n")
     if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+        raise InvalidArgument(f"step count must be non-negative, got {n}")
     x, y = _coords(p)
     # append-only, so rows added mid-walk show here
     he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
     out = []
     for _ in range(n):
-        family, m, t, rem = _rectangle(table, he, ho, ke, ko, y, x)
-        if family == "P":
-            x, y = x + ke[m] + t * ko[m], rem
-        else:
-            x, y = rem, y + ho[m] + t * he[m + 1]
+        _, _, _, y, x = _rectangle(table, he, ho, ke, ko, y, x)
         out.append(_point(GridPoint, (x, y)))
     return out
 
@@ -87,14 +77,10 @@ def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
         x, y = p
     except (TypeError, ValueError):
         x, y = _coords(p)
-    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+    if type(x) is not int or type(y) is not int or x < 0 or y < 0 or not isinstance(p, tuple):
         x, y = _coords(p)
-    # Undoing the translation leaves the band offset rem on the band's axis.
-    he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
-    family, m, t, rem = _rectangle(table, ke, ko, he, ho, x, y)
-    if family == "P":
-        return _point(GridPoint, (rem, y + he[m] + t * ho[m]))
-    return _point(GridPoint, (x + ko[m] + t * ke[m + 1], rem))
+    _, _, _, x, y = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
+    return _point(GridPoint, (x, y))
 
 
 def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:

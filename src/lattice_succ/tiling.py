@@ -15,7 +15,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _bands, _rectangle
-from .core_arith import _integer
+from .core_arith import InvalidArgument, _integer
 from .successor import GridPoint, _coords, next_point, value
 
 _record = tuple.__new__  # _record(Rectangle, fields) skips the Python-level NamedTuple __new__
@@ -71,27 +71,27 @@ def _band_rectangle(table: ConvergentTable, family: str, n: int, t: int, along_x
     y < h_{n+1}; along y it starts at y = h_n + t*h_{n+1}, is h_{n+1} high and
     spans x < k_{n+1}. The table must hold row n + 1.
     """
-    h, k = table._h, table._k
+    (h0, k0), (h1, k1) = table._hk(n), table._hk(n + 1)
     if along_x:
-        x = k[n] + t * k[n + 1]
-        fields = (family, (n + 1) // 2, t, x, x + k[n + 1] - 1, 0, h[n + 1] - 1)
+        x = k0 + t * k1
+        fields = (family, (n + 1) // 2, t, x, x + k1 - 1, 0, h1 - 1)
     else:
-        y = h[n] + t * h[n + 1]
-        fields = (family, (n + 1) // 2, t, 0, k[n + 1] - 1, y, y + h[n + 1] - 1)
+        y = h0 + t * h1
+        fields = (family, (n + 1) // 2, t, 0, k1 - 1, y, y + h1 - 1)
     return _record(Rectangle, fields)
 
 
 def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The source rectangle ("A" or "P") holding p, as `rectangles_in_window` reports it."""
     x, y = _coords(p)
-    family, m, t, _ = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
+    family, m, t, _, _ = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
     return _band_rectangle(table, family, 2 * m + (family == "A"), t, family == "A")
 
 
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The translated rectangle ("A~" or "P~") holding p != (0, 0), as `rectangles_in_window` reports it."""
     x, y = _coords(p)
-    family, m, t, _ = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
+    family, m, t, _, _ = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
     return _band_rectangle(table, family + "~", 2 * m + (family == "A"), t, family == "P")
 
 
@@ -107,7 +107,7 @@ def rectangles_in_window(
     """
     W, H = _integer(W, "W"), _integer(H, "H")
     if W < 1 or H < 1:
-        raise ValueError(f"window must be positive, got {W}x{H}")
+        raise InvalidArgument(f"window must be positive, got {W}x{H}")
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     return [
         _band_rectangle(table, family, n, t, seq == "k")
@@ -190,10 +190,10 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
     """
     i = _integer(level, "level")
     if family not in ("A", "P"):
-        raise ValueError(f"unknown family {family!r}")
+        raise InvalidArgument(f"unknown family {family!r}")
     least = 1 if family == "A" else 0
     if i < least:
-        raise ValueError(f"{family}-family witnesses need level >= {least}")
+        raise InvalidArgument(f"{family}-family witnesses need level >= {least}")
     n = 2 * i - least  # A bands have odd n, P bands even n
     table.extend_to(n + 2)
     last = _band_rectangle(table, family, n, table._a[n + 2] - 1, family == "A")

@@ -141,9 +141,11 @@ def test_concurrent_extension_matches_single_thread():
 
 
 def _assert_parity_lists(table):
-    """The four parity lists are the flat h and k split by index parity."""
-    assert table._h_even == table._h[0::2] and table._h_odd == table._h[1::2]
-    assert table._k_even == table._k[0::2] and table._k_odd == table._k[1::2]
+    """The four parity lists are h and k of slow_quotients' rows split by index parity."""
+    rows = slow_quotients(table.pair, table.depth)
+    h, k = [row[1] for row in rows], [row[2] for row in rows]
+    assert table._h_even == h[0::2] and table._h_odd == h[1::2]
+    assert table._k_even == k[0::2] and table._k_odd == k[1::2]
 
 
 @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
@@ -227,7 +229,7 @@ def secondary(table, level):
     The t > 0 mediants of band `level` in `_bands`; the table must already
     reach index level + 2.
     """
-    limit = table._k[level + 2]
+    limit = table.k(level + 2)
     return [(h, k) for n, t, h, k in _bands(table, "k", level % 2, limit) if n == level and t]
 
 
@@ -291,7 +293,7 @@ def _hit_wall(table):
 
 def _past_wall(table):
     """A grid point whose band in both the source and the tilde search lies past the table."""
-    return GridPoint(0, max(table._h) + 1)
+    return GridPoint(0, table.h(table.depth) + 1)
 
 
 def _count_affine_sign(monkeypatch):
@@ -319,7 +321,7 @@ class TestRememberedWall:
         for _ in range(3):
             assert _refusal(lambda: table.extend_to(depth + 1)) == (kind, message)
             assert _refusal(lambda: table.extend_to(depth + 40)) == (kind, message)
-            assert _refusal(lambda: table.extend_until(max(table._k), "k", depth % 2)) == (kind, message)
+            assert _refusal(lambda: table.extend_until(table.k(depth), "k", depth % 2)) == (kind, message)
             assert _refusal(lambda: next_point(table, past)) == (kind, message)
             assert _refusal(lambda: prev_point(table, past)) == (kind, message)
             assert _hit_wall(table) == first
@@ -331,13 +333,13 @@ class TestRememberedWall:
         table = ConvergentTable(validate_pair(p1, p2, bit_budget=budget))
         _, _, depth = _hit_wall(table)
         _assert_parity_lists(table)
-        lists = (table._a, table._h, table._k, table._h_even, table._h_odd, table._k_even, table._k_odd)
+        lists = (table._a, table._h_even, table._h_odd, table._k_even, table._k_odd)
         lengths = [len(values) for values in lists]
         past = _past_wall(table)
         for call in (
             lambda: table.extend_to(depth + 1),
-            lambda: table.extend_until(max(table._h), "h", 0),
-            lambda: table.extend_until(max(table._k), "k", 1),
+            lambda: table.extend_until(table.h(depth), "h", 0),
+            lambda: table.extend_until(table.k(depth), "k", 1),
             lambda: next_point(table, past),
             lambda: prev_point(table, past),
             lambda: locate_tilde(table, past),
@@ -356,8 +358,8 @@ class TestRememberedWall:
         past = _past_wall(table)
         for call in (
             lambda: table.extend_to(depth + 1),
-            lambda: table.extend_until(max(table._k), "k", 0),
-            lambda: table.extend_until(max(table._h), "h", 1),
+            lambda: table.extend_until(table.k(depth), "k", 0),
+            lambda: table.extend_until(table.h(depth), "h", 1),
             lambda: next_point(table, past),
             lambda: prev_point(table, past),
         ):
@@ -394,7 +396,7 @@ class TestRememberedWall:
             sys.setswitchinterval(interval)
 
     def test_threads_below_and_past_the_wall_match_one_thread(self):
-        # _grow refuses past a known wall without extend_until; the depth it
+        # _grow refuses past a known wall without the lock; the list it
         # checks must be read after the wall, or a row another thread appended
         # just before the wall would be refused.
         pair = validate_pair(2, 3, bit_budget=400)
@@ -441,20 +443,17 @@ class TestRememberedWall:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("seam", ["_grow", "extend_until"], ids=["in_band", "in_extend_until"])
+    @pytest.mark.parametrize("seam", ["_grow", "lock"], ids=["in_band", "in_extend_until"])
     def test_extension_between_depth_read_and_wall_read(self, monkeypatch, seam):
         # The race above, forced: another extension runs to the wall at the
-        # first call of the seam, after a read of the table and before the
-        # wall check. _grow is entered after _rectangle's read of the last
-        # entry of a parity list; on a fresh table extend_until is entered
-        # from _grow after its wall read, just before extend_until's unlocked
-        # check of that list. Neither seam holds the table lock, so the
-        # competing extension can take it.
+        # seam, after a read of the table and before the wall check. _grow is
+        # entered after _rectangle's read of the last entry of a parity list;
+        # on a fresh table the first acquisition of the table lock is _grow's,
+        # after that read and before its locked re-read of the list. Neither
+        # seam holds the table lock, so the competing extension can take it.
         pair = validate_pair(2, 3, bit_budget=400)
         reference = ConvergentTable(pair)
         _, _, depth = _hit_wall(reference)
-        owner = cf_engine if seam == "_grow" else ConvergentTable
-        real = getattr(owner, seam)
         answered = 0
         for query in (next_point, prev_point):
             for p in (GridPoint(x, y) for x in range(0, 100, 9) for y in range(0, 60, 4) if x or y):
@@ -463,18 +462,38 @@ class TestRememberedWall:
                 except BudgetExceeded:
                     continue
                 table, calls = ConvergentTable(pair), []
+                lock = table._lock
 
-                def interleaved(*args):
-                    calls.append(args)
+                def compete():
+                    calls.append(None)
                     if len(calls) == 1:
-                        assert not table._lock.locked()  # extend_to would deadlock under it
+                        assert not lock.locked()  # extend_to would deadlock under it
                         with pytest.raises(BudgetExceeded):
                             table.extend_to(depth + 1)
-                    return real(*args)
 
-                monkeypatch.setattr(owner, seam, interleaved)
-                got = query(table, p)
-                monkeypatch.setattr(owner, seam, real)
+                if seam == "_grow":
+                    real = cf_engine._grow
+
+                    def interleaved(*args):
+                        compete()
+                        return real(*args)
+
+                    monkeypatch.setattr(cf_engine, "_grow", interleaved)
+                    got = query(table, p)
+                    monkeypatch.setattr(cf_engine, "_grow", real)
+                else:
+
+                    class Interleaved:
+                        # The competing extend_to enters here too, as the second call, and takes the real lock.
+                        def __enter__(self):
+                            compete()
+                            return lock.__enter__()
+
+                        def __exit__(self, *exc):
+                            return lock.__exit__(*exc)
+
+                    table._lock = Interleaved()
+                    got = query(table, p)
                 assert got == want and calls and table._wall is not None, p
                 answered += 1
         assert answered > 100

@@ -24,7 +24,7 @@ EXPORTED = {
     "cf_engine": ["ConvergentTable", "IndexBeyondTable"],
     "core_arith": [
         "DEFAULT_BIT_BUDGET", "EQUAL", "GREATER", "LESS", "AffineForm", "BudgetExceeded",
-        "GeneratorPair", "LatticeError", "NonIntegerArgument", "OrderViolation",
+        "GeneratorPair", "InvalidArgument", "LatticeError", "NonIntegerArgument", "OrderViolation",
         "RationalLogRatio", "compare_affine", "compare_fraction", "f", "g", "validate_pair",
     ],
     "oracle": ["SortedStream", "enumerate_sorted", "naive_next"],

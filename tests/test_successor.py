@@ -8,11 +8,15 @@ from lattice_succ import (
     BudgetExceeded,
     ConvergentTable,
     GridPoint,
+    InvalidArgument,
+    LatticeError,
     NoPredecessor,
     NonIntegerArgument,
     Rectangle,
     SortedStream,
+    compare_fraction,
     enumerate_sorted,
+    f,
     large_gap,
     locate,
     locate_tilde,
@@ -308,6 +312,38 @@ def test_non_integer_arguments_are_typed(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: next_point(_table23, GridPoint(-1, 0)),
+        lambda: prev_point(_table23, (0, -1)),
+        lambda: walk(_table23, GridPoint(0, 0), -1),
+        lambda: _table23.extend_until(10, "x", 1),
+        lambda: _table23.extend_until(10, "k", 2),
+        lambda: rectangles_in_window(_table23, 0, 5),
+        lambda: verify_partition(_table23, 5, -1),
+        lambda: large_gap(_table23, 1, "B"),
+        lambda: large_gap(_table23, 0, "A"),
+        lambda: minimal_fractional_subsequences(_table23, 0),
+        lambda: predicted_record_indices(_table23, 0),
+        lambda: compare_fraction(_pair23, 0, 0),
+        lambda: f(_pair23, 0),
+        lambda: SortedStream(_pair23, key="size"),
+        lambda: enumerate_sorted(_pair23, 0),
+    ],
+    ids=[
+        "negative_point", "negative_point_prev", "walk_negative_count", "extend_until_seq",
+        "extend_until_parity", "window", "partition_window", "gap_family", "gap_level",
+        "record_scan_N", "predicted_N", "fraction", "f_n", "stream_key", "enumerate_count",
+    ],
+)
+def test_out_of_range_arguments_are_typed(call):
+    # InvalidArgument is a ValueError, so callers catching ValueError still do.
+    with pytest.raises(InvalidArgument) as exc:
+        call()
+    assert isinstance(exc.value, LatticeError) and isinstance(exc.value, ValueError)
+
+
 def test_parity_outside_0_1_is_value_error():
     with pytest.raises(ValueError, match="parity must be 0 or 1"):
         _table23.extend_until(10, "k", 2)
@@ -354,7 +390,7 @@ _POINT_TAKERS = [
 ]
 
 
-@pytest.mark.parametrize("p", [5, None, (1, 2, 3), (1,), "12", 2.5], ids=repr)
+@pytest.mark.parametrize("p", [5, None, (1, 2, 3), (1,), "12", 2.5, b"12", bytearray(b"12"), range(3, 5)], ids=repr)
 @pytest.mark.parametrize(
     "call", _POINT_TAKERS, ids=["next_point", "prev_point", "walk", "locate", "locate_tilde", "value", "naive_next"]
 )
