@@ -1,10 +1,13 @@
 """Simple continued fraction of alpha with primary and secondary convergents.
 
-The partial quotients are discovered by exact Stern-Brocot descent: the next
-quotient a_{m+1} is the largest t for which the mediant
-(h_{m-1} + t*h_m)/(k_{m-1} + t*k_m) still lies on the same side of alpha as
-convergent m-1, each probe one exact `compare_fraction` (a certified float or
-decimal-log comparison, big-integer powers only for the smallest operands).
+The partial quotients are read off a certified interval around
+1/alpha = log(p2)/log(p1), the interval form of Lehmer's multi-precision
+Euclid: Euclid's division runs on both ends in lockstep, and every quotient
+the two ends share is one of 1/alpha's, which are alpha's from a_1 on. The
+first interval comes from the float logs, trusted with the relative margin
+of `core_arith`'s float pre-filter; when its quotients run out, correctly
+rounded decimal logs at doubling precision give the next. Growth makes no
+comparison.
 
 The table keeps the quotients a in one list and h and k split by index
 parity: the even-index convergents lie below alpha and carry the P bands,
@@ -23,8 +26,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 
 from .core_arith import (
-    GREATER,
-    LESS,
+    _FLOAT_REL_MARGIN,
     BudgetExceeded,
     GeneratorPair,
     InternalConsistencyError,
@@ -32,7 +34,8 @@ from .core_arith import (
     LatticeError,
     NoPredecessor,
     _integer,
-    compare_fraction,
+    _ln,
+    validate_pair,
 )
 
 
@@ -56,11 +59,13 @@ class ConvergentTable:
     seeing entry m + 1 of any parity list means entry m of all four is
     complete.
 
-    The probes for row depth+1 depend only on the stored rows and the pair,
-    so a row the bit budget refused is refused again on every attempt. The
-    table remembers that refusal and, under the lock, answers a later need for
-    a row past it with a fresh BudgetExceeded of the same message, without
-    comparing again.
+    The bit budget bounds the exponents the table serves: row depth+1 is
+    refused once h of both parities is past it. Since h <= k, the table then
+    covers every grid point whose two exponents are within the budget, and
+    a refusal is one integer comparison. `_cf` holds the quotients a_1,
+    a_2, ... certified so far, which are those of 1/alpha = log(p2)/log(p1)
+    (a_0 = 0, as p1 < p2), and `_prec` the decimal precision that certified
+    them (0: the float logs).
     """
 
     def __init__(self, pair: GeneratorPair):
@@ -69,7 +74,10 @@ class ConvergentTable:
         self._h_even, self._h_odd = [0], []
         self._k_even, self._k_odd = [1], []
         self._lock = allocate_lock()
-        self._wall: str | None = None  # message of the BudgetExceeded that refused row depth+1
+        inverse = pair._log2[1] / pair._log2[0]
+        wide = inverse * _FLOAT_REL_MARGIN
+        self._cf = _shared_quotients(*(inverse - wide).as_integer_ratio(), *(inverse + wide).as_integer_ratio())
+        self._prec = 0
 
     @property
     def depth(self) -> int:
@@ -125,36 +133,15 @@ class ConvergentTable:
         return self
 
     def _append_row(self) -> None:
-        # Under the lock the depth is current, so a known wall refuses exactly the
-        # row it refused before. Fresh: re-raising one instance would grow its traceback.
-        if self._wall is not None:
-            raise BudgetExceeded(self._wall)
         m = len(self._a) - 1
+        budget = self.pair.bit_budget
+        if m and self._h_even[-1] > budget and self._h_odd[-1] > budget:
+            raise BudgetExceeded(f"row {m + 1} is past the bit budget {budget}: h_{m - 1} and h_{m} exceed it")
         hm, km = self._hk(m)
         hp, kp = self._hk(m - 1) if m else (1, 0)  # conventional convergent -1 = 1/0
-        # Convergent m-1 sits below alpha at even index, above at odd.
-        side_prev = LESS if (m - 1) % 2 == 0 else GREATER
-
-        def side(t: int) -> int:
-            return compare_fraction(self.pair, hp + t * hm, kp + t * km)
-
-        # The mediants stay on side_prev exactly for 1 <= t <= a_{m+1}.
-        try:
-            hi = 1
-            while side(2 * hi) == side_prev:
-                hi *= 2
-            lo = hi  # side(lo) == side_prev, side(2*hi) flipped
-            hi = 2 * hi
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if side(mid) == side_prev:
-                    lo = mid
-                else:
-                    hi = mid
-        except BudgetExceeded as exc:
-            self._wall = str(exc)  # written under the lock
-            raise
-        a = lo
+        while len(self._cf) <= m:
+            self._refine()
+        a = self._cf[m]
         h, k = hp + a * hm, kp + a * km
         if m % 2:  # the new row m + 1 is even
             self._h_even.append(h)
@@ -163,6 +150,41 @@ class ConvergentTable:
             self._h_odd.append(h)
             self._k_odd.append(k)
         self._a.append(a)
+
+    def _refine(self) -> None:
+        """Certify quotients from decimal logs at twice the last precision.
+
+        With ln(p_i) = n_i * 10**u_i to within half a last digit, 1/alpha
+        lies in [(2n2 - 1)/(2n1 + 1), (2n2 + 1)/(2n1 - 1)] * 10**(u2 - u1).
+        A doubling that gains no quotient checks the pair: only a rational
+        alpha (a dependent pair built without validate_pair) never separates.
+        """
+        prec = 2 * self._prec or 32
+        (n1, u1), (n2, u2) = _ln(self.pair.p1, prec), _ln(self.pair.p2, prec)
+        s1, s2 = 10 ** max(u1 - u2, 0), 10 ** max(u2 - u1, 0)
+        cf = _shared_quotients((2 * n2 - 1) * s2, (2 * n1 + 1) * s1, (2 * n2 + 1) * s2, (2 * n1 - 1) * s1)
+        if len(cf) > len(self._cf):
+            self._cf = cf
+        elif self._prec:
+            validate_pair(self.pair.p1, self.pair.p2)
+        self._prec = prec
+
+
+def _shared_quotients(n1: int, d1: int, n2: int, d2: int) -> list[int]:
+    """The continued-fraction quotients that n1/d1 and n2/d2 (d1, d2 > 0) share.
+
+    Every x between the two ends has them, because each step x -> 1/(x - a)
+    is monotone on the numbers that share a. An end that is an integer stops
+    the prefix, since x may equal it or lie just below it.
+    """
+    cf = []
+    while True:
+        q1, r1 = divmod(n1, d1)
+        q2, r2 = divmod(n2, d2)
+        if q1 != q2 or not r1 or not r2:
+            return cf
+        cf.append(q1)
+        n1, d1, n2, d2 = d1, r1, d2, r2
 
 
 def _last(m: int, parity: int) -> int:
@@ -208,13 +230,8 @@ def _rectangle(
 def _grow(table: ConvergentTable, values: list[int], c: int) -> None:
     """Grow until the last entry of values, one of the table's parity lists, exceeds c.
 
-    The list is re-read under the lock, so a row another thread appended
-    first counts, and a known wall refuses only a row that is still needed.
-    Past a known wall no row is ever appended, so a list read after the wall
-    is final: if it still falls short, refuse without the lock.
+    The list is re-read under the lock, so a row another thread appended first counts.
     """
-    if table._wall is not None and (not values or values[-1] <= c):
-        raise BudgetExceeded(table._wall)
     with table._lock:
         while not values or values[-1] <= c:
             table._append_row()

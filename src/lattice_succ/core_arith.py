@@ -5,8 +5,9 @@ Every comparison in this package bottoms out in one primitive here,
 comparison settles the sign when its error margin certifies it; otherwise
 correctly rounded decimal logs do, at doubling precision, until their
 error bound certifies it; only once those logs would be as wide as the
-powers themselves does a big-integer comparison p2**h < p1**k decide. No
-approximate result is ever trusted unless its error bound certifies the sign.
+powers themselves does a big-integer comparison p2**h < p1**k decide, and
+only if the powers fit in the bit budget. No approximate result is ever
+trusted unless its error bound certifies the sign.
 """
 
 from __future__ import annotations
@@ -170,44 +171,41 @@ def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Gen
 def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
     """Exact sign of dk*alpha - dn, which is the sign of p1**dk / p2**dn - 1.
 
-    The one order decision of the package: the bit-budget check, the
-    certified float pre-filter on the bit counts, the certified decimal-log
-    comparison, the big-integer fallback and the tie that irrationality
-    forbids all live here. The budget still refuses a comparison whose
-    powers would exceed it, although the powers are built only when the
-    logs are as wide as they are.
+    The one order decision of the package: the certified float pre-filter on
+    the bit counts, the certified decimal-log comparison, the big-integer
+    fallback and the tie that irrationality forbids all live here. Exponents
+    of any size are compared; the bit budget guards only the fallback, so
+    only a comparison the logs cannot settle within it is refused.
     """
     s = 1
     if dk < 0:  # decide the sign of the negated form, which has dk > 0
         dk, dn, s = -dk, -dn, -1
-    budget = pair.bit_budget
-    # log2(p) >= 1, so an exponent above the budget needs more bits than the
-    # budget allows; refusing it here also keeps it out of float conversion.
-    if dk > budget or abs(dn) > budget:
-        raise BudgetExceeded(f"power comparison has an exponent above the bit budget {budget}")
-    lp1, lp2 = pair._log2
-    a = dk * lp1  # bits of p1**dk
-    b = abs(dn) * lp2  # bits of p2**|dn|
     # With dn <= 0 the operands are p1**dk * p2**-dn and 1, and p2**dn <= 1 <= p1**dk.
-    bits = a + b if dn <= 0 else (a if a > b else b)
-    if bits > budget:
-        raise BudgetExceeded(f"power comparison needs ~{int(bits)} bits, budget is {budget}")
     if dn <= 0:
         return s if dk or dn else EQUAL
+    lp1, lp2 = pair._log2
+    # Counts past a float's range are shifted into it. The truncation moves a
+    # and b by less than lp1 + lp2, far inside the margin of counts this large.
+    shift = ((dk | dn) >> 960).bit_length()  # bits past 960 of the larger count, or 0
+    a, b = (dk >> shift) * lp1, (dn >> shift) * lp2  # bits of p1**dk and p2**dn, over 2**shift
     gap = a - b
     margin = (a + b) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN
     if gap > margin:
         return s
     if gap < -margin:
         return -s
-    prec = 2 * (len(str(dk)) + len(str(dn))) + 10
-    while prec * _LOG2_10 < bits:
+    budget = pair.bit_budget
+    bits = math.inf if shift else (a if a > b else b)
+    prec = (dk.bit_length() + dn.bit_length()) * 1233 // 2048 + 14  # ~2 * (digits of dk and dn) + 10
+    while prec * _LOG2_10 < min(bits, budget):
         sign = _log_sign(pair.p1, pair.p2, dk, dn, prec)
         if sign:
             return s * sign
         prec *= 2
     # Logs as wide as the powers cost as much as the powers, which also
     # settle a tie: equal powers mean a dependent pair, so this ends the loop.
+    if bits > budget:
+        raise BudgetExceeded(f"power comparison needs ~{bits:.0f} bits, budget is {budget}")
     lhs, rhs = pair.p1**dk, pair.p2**dn
     if lhs == rhs:
         raise RationalLogRatio(

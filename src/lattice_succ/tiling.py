@@ -64,35 +64,36 @@ class PartitionReport(NamedTuple):
     violations: list[tuple[tuple[int, int], int]]  # ((x, y), cover count)
 
 
-def _band_rectangle(table: ConvergentTable, family: str, n: int, t: int, along_x: bool) -> Rectangle:
+def _band_rectangle(table: ConvergentTable, family: str, n: int, t: int, start: int, along_x: bool) -> Rectangle:
     """The rectangle of band (n, t), which runs along x over k or along y over h.
 
-    Along x it starts at x = k_n + t*k_{n+1}, is k_{n+1} wide and spans
-    y < h_{n+1}; along y it starts at y = h_n + t*h_{n+1}, is h_{n+1} high and
-    spans x < k_{n+1}. The table must hold row n + 1.
+    Along x it starts at x = start = k_n + t*k_{n+1}, is k_{n+1} wide and
+    spans y < h_{n+1}; along y it starts at y = start = h_n + t*h_{n+1}, is
+    h_{n+1} high and spans x < k_{n+1}. The table must hold row n + 1.
     """
-    (h0, k0), (h1, k1) = table._hk(n), table._hk(n + 1)
+    h1, k1 = table._hk(n + 1)
     if along_x:
-        x = k0 + t * k1
-        fields = (family, (n + 1) // 2, t, x, x + k1 - 1, 0, h1 - 1)
+        fields = (family, (n + 1) // 2, t, start, start + k1 - 1, 0, h1 - 1)
     else:
-        y = h0 + t * h1
-        fields = (family, (n + 1) // 2, t, 0, k1 - 1, y, y + h1 - 1)
+        fields = (family, (n + 1) // 2, t, 0, k1 - 1, start, start + h1 - 1)
     return _record(Rectangle, fields)
 
 
 def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The source rectangle ("A" or "P") holding p, as `rectangles_in_window` reports it."""
     x, y = _coords(p)
-    family, m, t, _, _ = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
-    return _band_rectangle(table, family, 2 * m + (family == "A"), t, family == "A")
+    family, m, t, c, d = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
+    # The translation keeps the offset from the band's start: c for a P cell, d for an A cell.
+    start = y - c if family == "P" else x - d
+    return _band_rectangle(table, family, 2 * m + (family == "A"), t, start, family == "A")
 
 
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The translated rectangle ("A~" or "P~") holding p != (0, 0), as `rectangles_in_window` reports it."""
     x, y = _coords(p)
-    family, m, t, _, _ = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
-    return _band_rectangle(table, family + "~", 2 * m + (family == "A"), t, family == "P")
+    family, m, t, c, d = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
+    start = x - c if family == "P" else y - d
+    return _band_rectangle(table, family + "~", 2 * m + (family == "A"), t, start, family == "P")
 
 
 def rectangles_in_window(
@@ -110,9 +111,9 @@ def rectangles_in_window(
         raise InvalidArgument(f"window must be positive, got {W}x{H}")
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     return [
-        _band_rectangle(table, family, n, t, seq == "k")
+        _band_rectangle(table, family, n, t, k if seq == "k" else h, seq == "k")
         for family, seq, parity in families
-        for n, t, _, _ in _bands(table, seq, parity, W if seq == "k" else H)
+        for n, t, h, k in _bands(table, seq, parity, W if seq == "k" else H)
     ]
 
 
@@ -196,7 +197,9 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
         raise InvalidArgument(f"{family}-family witnesses need level >= {least}")
     n = 2 * i - least  # A bands have odd n, P bands even n
     table.extend_to(n + 2)
-    last = _band_rectangle(table, family, n, table._a[n + 2] - 1, family == "A")
+    # The last band, t = a_{n+2} - 1, starts at u_{n+2} - u_{n+1}, with u = k for A and h for P.
+    start = table._hk(n + 2)[family == "A"] - table._hk(n + 1)[family == "A"]
+    last = _band_rectangle(table, family, n, table._a[n + 2] - 1, start, family == "A")
     point = GridPoint(last.x_max, last.y_max)
     succ = next_point(table, point)
     gap = value(table.pair, succ) - value(table.pair, point)

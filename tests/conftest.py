@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from lattice_succ import ConvergentTable, validate_pair
+from lattice_succ import GREATER, LESS, ConvergentTable, compare_fraction, validate_pair
 
 # Pairs covering primes, a composite, and non-coprime composite generators.
 PAIR_ARGS = [(2, 3), (2, 5), (3, 5), (2, 12), (6, 10)]
@@ -28,6 +28,22 @@ def safe_depth(table: ConvergentTable, target: int, k_cap: int = 100_000) -> int
     while table.depth < target and table.k(table.depth) < k_cap:
         table.extend_to(table.depth + 1)
     return min(table.depth, target)
+
+
+def slow_quotients(pair, depth):
+    """Independent oracle: rows (a_i, h_i, k_i) by a one-step mediant walk, no doubling tricks."""
+    rows = [(0, 0, 1)]
+    hp, kp = 1, 0
+    while len(rows) <= depth:
+        m = len(rows) - 1
+        _, hm, km = rows[m]
+        side_prev = LESS if (m - 1) % 2 == 0 else GREATER
+        t = 1
+        while compare_fraction(pair, hp + (t + 1) * hm, kp + (t + 1) * km) == side_prev:
+            t += 1
+        rows.append((t, hp + t * hm, kp + t * km))
+        hp, kp = hm, km
+    return rows
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 import math
 import random
+import subprocess
 import sys
 import threading
 import traceback
+from pathlib import Path
 
 import pytest
 
+import lattice_succ
 from lattice_succ import (
     DEFAULT_BIT_BUDGET,
     GREATER,
@@ -26,23 +29,7 @@ from lattice_succ import (
 )
 from lattice_succ.cf_engine import _bands
 
-from conftest import PAIR_ARGS, pair_for, safe_depth, table_for
-
-
-def slow_quotients(pair, depth):
-    """Independent oracle: one-step mediant walk, no doubling tricks."""
-    rows = [(0, 0, 1)]
-    hp, kp = 1, 0
-    while len(rows) <= depth:
-        m = len(rows) - 1
-        _, hm, km = rows[m]
-        side_prev = LESS if (m - 1) % 2 == 0 else GREATER
-        t = 1
-        while compare_fraction(pair, hp + (t + 1) * hm, kp + (t + 1) * km) == side_prev:
-            t += 1
-        rows.append((t, hp + t * hm, kp + t * km))
-        hp, kp = hm, km
-    return rows
+from conftest import PAIR_ARGS, pair_for, safe_depth, slow_quotients, table_for
 
 
 def test_quotients_2_3(table23):
@@ -103,6 +90,34 @@ def test_agrees_with_slow_mediant_walk(p1, p2):
     assert slow_quotients(table.pair, depth) == [
         (table.quotient(i), table.h(i), table.k(i)) for i in range(depth + 1)
     ]
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_quotients_to_depth_60_match_slow_mediant_walk(p1, p2):
+    # A budget of 10**40 bits lets both reach k_60 (about 1e28 to 1e32).
+    pair = validate_pair(p1, p2, bit_budget=10**40)
+    table = ConvergentTable(pair).extend_to(60)
+    assert table.k(60) > 10**27
+    assert slow_quotients(pair, 60) == [(table.quotient(i), table.h(i), table.k(i)) for i in range(61)]
+
+
+@pytest.mark.parametrize("p1,p2", [(2, 4), (4, 8), (9, 27), (2, 1024)])
+def test_dependent_pair_ends_in_rational_log_ratio(p1, p2):
+    # Built directly, bypassing validate_pair: alpha is rational, so no
+    # interval separates its last quotient at any precision, and the table
+    # must find the dependence instead of doubling forever. Run apart, so a
+    # loop that never ends fails the test at the timeout instead of hanging it.
+    code = (
+        "import lattice_succ\n"
+        f"table = lattice_succ.ConvergentTable(lattice_succ.GeneratorPair({p1}, {p2}))\n"
+        "try:\n"
+        "    table.extend_to(3)\n"
+        "except lattice_succ.RationalLogRatio:\n"
+        "    print('RationalLogRatio', table.depth)\n"
+    )
+    src = str(Path(lattice_succ.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=src, check=True)
+    assert done.stdout.split()[0] == "RationalLogRatio"
 
 
 def test_extend_until(table23):
@@ -353,8 +368,7 @@ class TestRememberedWall:
         table = ConvergentTable(validate_pair(p1, p2))
         calls = _count_affine_sign(monkeypatch)
         _, message, depth = _hit_wall(table)
-        assert calls  # the first refusal compared
-        calls.clear()
+        assert calls == []  # growth to the wall compares nothing, and neither does the first refusal
         past = _past_wall(table)
         for call in (
             lambda: table.extend_to(depth + 1),
@@ -396,10 +410,10 @@ class TestRememberedWall:
             sys.setswitchinterval(interval)
 
     def test_threads_below_and_past_the_wall_match_one_thread(self):
-        # _grow refuses past a known wall without the lock; the list it
-        # checks must be read after the wall, or a row another thread appended
-        # just before the wall would be refused.
-        pair = validate_pair(2, 3, bit_budget=400)
+        # _grow re-reads its list under the lock, so a row another thread
+        # appended just before the wall counts and is not refused. A budget of
+        # 40 puts the wall inside the grid: some queries are refused.
+        pair = validate_pair(2, 3, bit_budget=40)
         queries = [
             (query, GridPoint(x, y))
             for query in (next_point, prev_point)
@@ -446,7 +460,7 @@ class TestRememberedWall:
     @pytest.mark.parametrize("seam", ["_grow", "lock"], ids=["in_band", "in_extend_until"])
     def test_extension_between_depth_read_and_wall_read(self, monkeypatch, seam):
         # The race above, forced: another extension runs to the wall at the
-        # seam, after a read of the table and before the wall check. _grow is
+        # seam, after a read of the table and before the locked re-read. _grow is
         # entered after _rectangle's read of the last entry of a parity list;
         # on a fresh table the first acquisition of the table lock is _grow's,
         # after that read and before its locked re-read of the list. Neither
@@ -494,7 +508,7 @@ class TestRememberedWall:
 
                     table._lock = Interleaved()
                     got = query(table, p)
-                assert got == want and calls and table._wall is not None, p
+                assert got == want and calls and table.depth == depth, p
                 answered += 1
         assert answered > 100
 

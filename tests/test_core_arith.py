@@ -25,7 +25,7 @@ from lattice_succ import (
     g,
     validate_pair,
 )
-from lattice_succ import core_arith
+from lattice_succ import cf_engine, core_arith
 from lattice_succ.core_arith import (
     _FLOAT_ABS_MARGIN,
     _FLOAT_REL_MARGIN,
@@ -35,7 +35,7 @@ from lattice_succ.core_arith import (
     perfect_power_base,
 )
 
-from conftest import PAIR_ARGS, pair_for, safe_depth, table_for
+from conftest import PAIR_ARGS, pair_for, safe_depth, slow_quotients, table_for
 
 pairs = st.sampled_from([pair_for(*a) for a in PAIR_ARGS])
 
@@ -108,17 +108,33 @@ class TestCompareFraction:
         want = LESS if pair.p2**h < pair.p1**k else GREATER
         assert compare_fraction(pair, h, k) == want
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        # The budget guards only the big-integer fallback, so force every
+        # comparison there: no float decision, no decimal-log decision.
         tight = validate_pair(2, 3, bit_budget=64)
-        with pytest.raises(BudgetExceeded):
+        monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
+        monkeypatch.setattr(core_arith, "_log_sign", lambda *args: EQUAL)
+        with pytest.raises(BudgetExceeded, match="needs ~1585 bits, budget is 64"):
             compare_fraction(tight, 1000, 1)
+        assert compare_fraction(tight, 40, 1) == GREATER  # 3**40 has 64 bits: built and compared
 
     def test_exponent_past_float_range_is_refused(self, pair23):
-        # 10**400 cannot become a float; the budget refuses it first
-        with pytest.raises(BudgetExceeded):
-            compare_fraction(pair23, 10**400, 1)
-        with pytest.raises(BudgetExceeded):
-            compare_affine(pair23, AffineForm(-(10**400), 3), ZERO_FORM)
+        # Kept under its old name: exponents past a float's range now get the
+        # exact answer. 10**5000 has more digits than the default int-to-str limit.
+        assert compare_fraction(pair23, 10**400, 1) == GREATER
+        assert compare_affine(pair23, AffineForm(-(10**400), 3), ZERO_FORM) == LESS
+        assert compare_fraction(pair23, 10**5000, 1) == GREATER
+        assert compare_fraction(pair23, 1, 10**5000) == LESS
+        assert compare_affine(pair23, AffineForm(10**5000, 10**5000), ZERO_FORM) == LESS
+
+    def test_convergents_past_float_range_are_ordered(self):
+        # k_600 of (2, 3) has about 1040 bits: the float pre-filter works on
+        # shifted counts and cannot separate a convergent, so decimal logs do.
+        pair = validate_pair(2, 3, bit_budget=10**600)
+        table = ConvergentTable(pair).extend_to(601)
+        assert table.k(600) >> 1000
+        assert compare_fraction(pair, table.h(600), table.k(600)) == LESS
+        assert compare_fraction(pair, table.h(601), table.k(601)) == GREATER
 
 
 class TestNonIntegerComparisonArguments:
@@ -227,8 +243,9 @@ class TestUpperLowerSequences:
             g(pair23, 2.0)
 
     def test_n_past_float_range_is_refused(self, pair23):
-        with pytest.raises(BudgetExceeded):
-            f(pair23, 10**400)
+        # Kept under its old name: f is now exact past a float's range.
+        n = 10**400
+        assert f(pair23, n) == _f_decimal(pair23, n)
 
     @given(pair=pairs, n=st.integers(1, 3000))
     @settings(max_examples=80)
@@ -252,11 +269,11 @@ class TestUpperLowerSequences:
     @given(pair=pairs, n=st.integers(2**53, 2**80))
     @settings(max_examples=20)
     def test_f_past_float_mantissa_is_refused(self, pair, n):
-        # p2**n has more bits than any budget can allow, so both searches refuse.
-        with pytest.raises(BudgetExceeded):
-            f(pair, n)
-        with pytest.raises(BudgetExceeded):
-            _f_search(pair, n)
+        # Kept under its old name: p2**n is past the budget, but the logs
+        # settle every comparison, so both searches give the exact answer.
+        want = _f_decimal(pair, n)
+        assert f(pair, n) == want
+        assert _f_search(pair, n) == want
 
     @given(pair=pairs, n=st.integers(1, 400))
     @settings(max_examples=60)
@@ -274,6 +291,14 @@ class TestUpperLowerSequences:
     @settings(max_examples=40)
     def test_strictly_increasing(self, pair, n):
         assert f(pair, n + 1) > f(pair, n)
+
+
+def _f_decimal(pair, n):
+    """ceil(n*ln(p2)/ln(p1)) from decimal logs 60 digits wider than n."""
+    import decimal
+
+    ctx = decimal.Context(prec=len(str(n)) + 60, rounding=decimal.ROUND_CEILING)
+    return int(ctx.multiply(n, ctx.divide(ctx.ln(pair.p2), ctx.ln(pair.p1))).to_integral_value(context=ctx))
 
 
 def _f_reference(pair, n):
@@ -323,30 +348,36 @@ def _power_sign(pair, dk, dn):
     return GREATER if pair.p1**dk > pair.p2**dn else LESS
 
 
+# Depth of the bit-budget wall under the default budget when growth compared
+# powers: the deepest rows whose comparisons a big-integer reference can build.
+OLD_WALL_DEPTHS = {(2, 3): 14, (2, 5): 12, (3, 5): 13, (2, 12): 13, (6, 10): 9}
+
+
 class TestCertifiedLogPath:
     @pytest.mark.parametrize("float_filter", ["on", "off"])
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_table_to_the_wall_matches_big_int_reference(self, p1, p2, float_filter, monkeypatch):
-        # With the float filter off, every probe above a few dozen bits goes
-        # through the decimal logs, not only the few the filter cannot settle.
+        # With the float filter off the float logs certify nothing: the
+        # pre-filter's margin is infinite and the table's first interval,
+        # [0, 2/alpha], shares no quotient, so every row comes from decimal logs.
         pair = pair_for(p1, p2)
         if float_filter == "off":
             monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
-        calls = _spy_log_sign(monkeypatch)
+            monkeypatch.setattr(cf_engine, "_FLOAT_REL_MARGIN", 1.0)
+        precisions = []
+        ln = cf_engine._ln
+        monkeypatch.setattr(cf_engine, "_ln", lambda p, prec: precisions.append(prec) or ln(p, prec))
         table = ConvergentTable(pair)
-        message = _extend_to_wall(table)
-        for dk, dn, _, sign in calls:
-            if sign != EQUAL:
-                assert sign == _power_sign(pair, dk, dn)
+        seeded = len(table._cf)
+        _extend_to_wall(table)
+        assert precisions  # the wall lies past what the float logs certify
         if float_filter == "off":
-            assert any(sign != EQUAL for *_, sign in calls)
-        # The reference: no decimal decision, so big-integer powers settle
-        # every comparison the float filter leaves open.
+            assert seeded == 0
+        # The reference: no decimal decision, so the float filter (when on)
+        # and big-integer powers settle every comparison of the mediant walk.
         monkeypatch.setattr(core_arith, "_log_sign", lambda *args: EQUAL)
-        reference = ConvergentTable(pair)
-        assert _extend_to_wall(reference) == message
-        assert (table.depth, table.quotients) == (reference.depth, reference.quotients)
-        assert table.convergents == reference.convergents
+        depth = OLD_WALL_DEPTHS[(p1, p2)]
+        assert slow_quotients(pair, depth) == [(table.quotient(i), table.h(i), table.k(i)) for i in range(depth + 1)]
 
     @pytest.mark.parametrize("p1,p2", [(2, 3**100), (2, 10**400), (3**100, 2**200 + 1)])
     def test_logs_above_100_at_convergents(self, p1, p2, monkeypatch):
@@ -401,10 +432,15 @@ class TestCertifiedLogPath:
         assert (len(calls) > 0) == (dk > 2)
 
     def test_import_does_not_load_decimal(self):
+        # The float logs certify rows 1-12 of (2, 3), all that a shallow query
+        # needs; row 14, with k_14 = 301994, needs the decimal logs.
         code = (
             "import sys, lattice_succ\n"
             "print('decimal' in sys.modules)\n"
-            "lattice_succ.ConvergentTable(lattice_succ.validate_pair(2, 3)).extend_to(14)\n"
+            "table = lattice_succ.ConvergentTable(lattice_succ.validate_pair(2, 3))\n"
+            "lattice_succ.next_point(table, (18, 4))\n"
+            "print('decimal' in sys.modules)\n"
+            "table.extend_to(14)\n"
             "print('decimal' in sys.modules)\n"
         )
         src = str(Path(lattice_succ.__file__).resolve().parents[1])
@@ -412,4 +448,4 @@ class TestCertifiedLogPath:
             [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=60, cwd=src, check=True,
         )
-        assert done.stdout.split() == ["False", "True"]
+        assert done.stdout.split() == ["False", "False", "True"]

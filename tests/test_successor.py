@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_succ import (
+    AffineForm,
     BudgetExceeded,
     ConvergentTable,
     GridPoint,
@@ -14,6 +16,7 @@ from lattice_succ import (
     NonIntegerArgument,
     Rectangle,
     SortedStream,
+    compare_affine,
     compare_fraction,
     enumerate_sorted,
     f,
@@ -215,6 +218,61 @@ class TestPrev:
         assert prev_point(table, next_point(table, p)) == p
         if p != (0, 0):
             assert next_point(table, prev_point(table, p)) == p
+
+
+def _above(pair, q, p) -> bool:
+    """Exactly whether q lies above p in S: (q.i - p.i)*alpha + (q.j - p.j) > 0."""
+    return compare_affine(pair, AffineForm(q[0] - p[0], p[1] - q[1]), AffineForm(0, 0)) > 0
+
+
+def _column_scan(pair, p):
+    """(successor, predecessor) of p in S by a scan over every column; nothing here uses the continued fraction.
+
+    Column t holds one successor candidate, the least (t, y) above p, and one
+    predecessor candidate, the greatest (t, y) below it. With x = v - t*alpha,
+    v the value of p in units of log(p2), these lie at y = floor(x) + 1 and
+    y = ceil(x) - 1, at distances 1 - frac(x) and frac(x). Floats pick the
+    columns whose frac(x) is within a moat of the extremes, or of 0 and 1
+    where the float floor may be off by one; exact comparisons settle those.
+    """
+    i, j = p
+    alpha = math.log(pair.p1) / math.log(pair.p2)
+    v = i * alpha + j
+    # Column int(v/alpha) + 1 is the first whose every point lies above p.
+    fracs = [(v - t * alpha) % 1.0 for t in range(int(v / alpha) + 2)]
+    fracs[i] = 0.5  # p's own column: x = j, and its candidates (i, j + 1) and (i, j - 1) lie a whole unit away
+    moat = 1e-6  # float error in x stays below 1e-9 for values up to 1e7
+    low, high = min(fracs) + 2 * moat, max(fracs) - 2 * moat
+    columns = [t for t, fr in enumerate(fracs) if fr < low or fr > high or fr < moat or fr > 1 - moat]
+    succ = pred = None
+    for t in columns:
+        x = v - t * alpha
+        y = max(0, math.floor(x) + 1)
+        while y > 0 and _above(pair, (t, y - 1), p):
+            y -= 1
+        while not _above(pair, (t, y), p):
+            y += 1
+        if succ is None or _above(pair, succ, (t, y)):
+            succ = (t, y)
+        y = max(-1, math.ceil(x) - 1)  # -1: no point of column t below p
+        while y >= 0 and not _above(pair, p, (t, y)):
+            y -= 1
+        while _above(pair, p, (t, y + 1)):
+            y += 1
+        if y >= 0 and (pred is None or _above(pair, (t, y), pred)):
+            pred = (t, y)
+    return succ, pred
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_queries_from_1e3_to_1e6_match_a_column_scan(p1, p2):
+    # Coordinates up to the default bit budget, past the reach of the heap oracle.
+    pair = validate_pair(p1, p2)
+    table = ConvergentTable(pair)
+    rng = random.Random(p1 * 100 + p2)
+    for _ in range(3):
+        p = GridPoint(*(int(10 ** rng.uniform(3, 6)) for _ in range(2)))
+        assert (next_point(table, p), prev_point(table, p)) == _column_scan(pair, p), p
 
 
 # Depth of a fresh table after locate and locate_tilde have visited every cell
