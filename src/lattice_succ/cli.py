@@ -177,7 +177,10 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     elems = enumerate_sorted(pair, scan + 1)
     # Both lists start at elems[0], so they agree iff every oracle step is next_point's.
     walked = walk(table, elems[0][0], scan)
-    mismatches = abs(len(walked) - scan) + sum(1 for p, (q, _) in zip(walked, elems[1:]) if p != q)
+    stepped = [q for q, _ in elems[1:]]
+    mismatches = 0
+    if walked != stepped:
+        mismatches = abs(len(walked) - scan) + sum(1 for p, q in zip(walked, stepped) if p != q)
     suite("oracle-agreement", mismatches == 0, f"{scan} successor steps, {mismatches} mismatches")
 
     fg = verify_fg_at_convergents(table, depth)
@@ -211,6 +214,7 @@ def build_parser(budget_default: str) -> argparse.ArgumentParser:
     """The argument parser, built once per --bit-budget default string.
 
     argparse converts that default at parse time, so a non-integer one exits 2.
+    Its `commands` attribute maps each subcommand name to that subcommand's parser.
     """
     parser = argparse.ArgumentParser(
         prog="lattice-succ",
@@ -263,6 +267,7 @@ def build_parser(budget_default: str) -> argparse.ArgumentParser:
     p.add_argument("--scan", type=int, default=500)
     p.add_argument("--depth", type=int, default=8)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -279,7 +284,19 @@ _COMMANDS = {
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser(os.environ.get(BUDGET_ENV_VAR) or str(DEFAULT_BIT_BUDGET)).parse_args(argv)
+    parser = build_parser(os.environ.get(BUDGET_ENV_VAR) or str(DEFAULT_BIT_BUDGET))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # What the top-level parse does with a subcommand, without its pass
+        # over the whole argv: the subcommand's parser takes the rest, and
+        # what it leaves is the top-level parser's error.
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         pair = validate_pair(args.p1, args.p2, args.bit_budget)
         return _COMMANDS[args.command](args, pair, out)

@@ -4,10 +4,11 @@ Every comparison in this package bottoms out in one primitive here,
 `_affine_sign`: h/k < alpha iff k*ln(p1) - h*ln(p2) > 0. A float log
 comparison settles the sign when its error margin certifies it; otherwise
 correctly rounded decimal logs do, at doubling precision, until their
-error bound certifies it; only once those logs would be as wide as the
-powers themselves does a big-integer comparison p2**h < p1**k decide, and
-only if the powers fit in the bit budget. No approximate result is ever
-trusted unless its error bound certifies the sign.
+error bound certifies it. Once the next log would cost more than the powers
+themselves, a big-integer comparison p2**h < p1**k decides, if the powers
+fit in the bit budget; powers past the budget leave the logs widening up to
+it. No approximate result is ever trusted unless its error bound certifies
+the sign.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ _FLOAT_REL_MARGIN = 1e-12
 _FLOAT_ABS_MARGIN = 1e-9
 
 _LOG2_10 = math.log2(10)
+
+# When the powers fit the budget, decimal logs stop widening at about 512
+# digits and the powers decide. A sign that 512-digit logs leave open is in
+# practice an exact tie (a dependent pair built directly), which only the
+# powers settle; and logs cost about as much as 10**5-bit powers at 512
+# digits, and five to ten times more per doubling beyond.
+_LN_MAX_BITS = 512 * _LOG2_10
 
 
 class LatticeError(Exception):
@@ -197,13 +205,16 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
     budget = pair.bit_budget
     bits = math.inf if shift else (a if a > b else b)
     prec = (dk.bit_length() + dn.bit_length()) * 1233 // 2048 + 14  # ~2 * (digits of dk and dn) + 10
-    while prec * _LOG2_10 < min(bits, budget):
+    # Logs never grow wider than the powers, and past _LN_MAX_BITS the powers
+    # take over when they fit the budget; they also settle a tie, since equal
+    # powers mean a dependent pair. Powers past the budget would be refused,
+    # so then the logs widen up to it.
+    limit = budget if bits > budget else min(bits, _LN_MAX_BITS)
+    while prec * _LOG2_10 < limit:
         sign = _log_sign(pair.p1, pair.p2, dk, dn, prec)
         if sign:
             return s * sign
         prec *= 2
-    # Logs as wide as the powers cost as much as the powers, which also
-    # settle a tie: equal powers mean a dependent pair, so this ends the loop.
     if bits > budget:
         raise BudgetExceeded(f"power comparison needs ~{bits:.0f} bits, budget is {budget}")
     lhs, rhs = pair.p1**dk, pair.p2**dn
@@ -272,8 +283,9 @@ def f(pair: GeneratorPair, n: int) -> int:
 
     Equivalently the unique k with (k-1)*alpha < n < k*alpha. The float guess
     k = floor(n*log(p2)/log(p1)) + 1 is returned only when the two exact
-    comparisons that define f(n) confirm it. Otherwise, and when n has more
-    bits than a double holds exactly, a search decides.
+    comparisons that define f(n), the signs of k*alpha - n and (k-1)*alpha - n,
+    confirm it; both go straight to `_affine_sign`. Otherwise, and when n has
+    more bits than a double holds exactly, a search decides.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -281,7 +293,7 @@ def f(pair: GeneratorPair, n: int) -> int:
     if n.bit_length() <= 52:
         lp1, lp2 = pair._log2
         k = int(n * lp2 / lp1) + 1
-        if compare_fraction(pair, n, k) == LESS and compare_fraction(pair, n, k - 1) == GREATER:
+        if _affine_sign(pair, k, n) == GREATER and _affine_sign(pair, k - 1, n) == LESS:
             return k
     return _f_search(pair, n)
 

@@ -65,19 +65,29 @@ class SortedStream:
 
 
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
-    """First `count` elements of S as (coordinates, exact value); refuses where value() would."""
+    """First `count` elements of S as (coordinates, exact value); refuses where value() would.
+
+    The batch form of `SortedStream`'s merge: one local heap loop over
+    (value, i, j) entries, the same order and the same elements as the lazy
+    stream with integer keys, without a call per element.
+    """
     count = _integer(count, "count")
     if count < 1:
         raise InvalidArgument(f"count must be positive, got {count}")
-    stream = SortedStream(pair)
+    p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
+    push, replace = heapq.heappush, heapq.heapreplace
+    heap = [(1, 0, 0)]
     out = []
     for _ in range(count):
-        p = next(stream)
-        v = stream.last_value
+        v, i, j = heap[0]
         # Below this length log2(v) < budget - 1 bounds both exponents and the estimate: no refusal.
-        if v.bit_length() >= pair.bit_budget:
-            _check_value_budget(pair, p.i, p.j)
-        out.append((p, v))
+        if v.bit_length() >= budget:
+            _check_value_budget(pair, i, j)
+        # The right neighbour is larger than the head, so it can replace it.
+        replace(heap, (v * p1, i + 1, j))
+        if i == 0:
+            push(heap, (v * p2, 0, j + 1))
+        out.append((_point(GridPoint, (i, j)), v))
     return out
 
 

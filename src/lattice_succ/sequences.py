@@ -18,7 +18,6 @@ from .core_arith import (
     InvalidArgument,
     _affine_sign,
     _integer,
-    compare_affine,
     f,
 )
 
@@ -84,13 +83,16 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
 
 def check_strictly_decreasing(pair: GeneratorPair, forms: list[AffineForm]) -> VerifyReport:
     """Verify forms[0] > forms[1] > ... exactly; report the first bad link."""
+    return _decreasing(pair, [(_integer(u.coeff, "coeff"), _integer(u.const, "const")) for u in forms])
+
+
+def _decreasing(pair: GeneratorPair, forms: list[tuple[int, int]]) -> VerifyReport:
+    """check_strictly_decreasing over forms given as (coeff, const) ints, one `_affine_sign` per link."""
     report = VerifyReport(ok=True, checked=max(len(forms) - 1, 0))
-    for idx in range(len(forms) - 1):
-        if compare_affine(pair, forms[idx], forms[idx + 1]) != GREATER:
+    for idx, ((k0, n0), (k1, n1)) in enumerate(zip(forms, forms[1:])):
+        if _affine_sign(pair, k0 - k1, n0 - n1) != GREATER:
             report.ok = False
-            report.failures.append(
-                f"link {idx}: {forms[idx]} is not > {forms[idx + 1]}"
-            )
+            report.failures.append(f"link {idx}: {AffineForm(k0, n0)} is not > {AffineForm(k1, n1)}")
             break
     return report
 
@@ -119,10 +121,8 @@ def verify_monotone_fractional_chains(table: ConvergentTable, max_index: int) ->
     max_index = max(_integer(max_index, "max_index"), 1)
     table.extend_to(max_index)
     pair = table.pair
-    ceil_forms = [AffineForm(-k, -h) for h, k in _chain(table, 1, max_index)]
-    floor_forms = [AffineForm(k, h) for h, k in _chain(table, 0, max_index)]
-    r1 = check_strictly_decreasing(pair, ceil_forms)
-    r2 = check_strictly_decreasing(pair, floor_forms)
+    r1 = _decreasing(pair, [(-k, -h) for h, k in _chain(table, 1, max_index)])
+    r2 = _decreasing(pair, [(k, h) for h, k in _chain(table, 0, max_index)])
     return VerifyReport(
         ok=r1.ok and r2.ok,
         checked=r1.checked + r2.checked,

@@ -133,9 +133,13 @@ def verify_partition(
     rects = rectangles_in_window(table, W, H, tilde)
     clipped = []
     cuts = {0, 1, W} if tilde else {0, W}
-    for r in rects:
-        x0, x1 = max(r.x_min, 0), min(r.x_max + 1, W)
-        y0, y1 = max(r.y_min, 0), min(r.y_max, H - 1)
+    top = H - 1
+    for _, _, _, x_min, x_max, y_min, y_max in rects:
+        # Clipped to the window: columns x0 <= x < x1, rows y0 <= y <= y1.
+        x0 = x_min if x_min > 0 else 0
+        x1 = x_max + 1 if x_max < W else W
+        y0 = y_min if y_min > 0 else 0
+        y1 = y_max if y_max < top else top
         if x0 < x1 and y0 <= y1:
             clipped.append((x0, x1, ((1 << (y1 - y0 + 1)) - 1) << y0))
             cuts.add(x0)

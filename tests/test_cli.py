@@ -343,6 +343,40 @@ def test_the_least_count_still_answers(argv, lines):
     assert len(out.splitlines()) == lines  # header (and the quotient line for cf) plus one record
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p1", "2", "--p2", "3", "--bogus"],
+        ["verify", "--p2", "3"],
+        ["nope"],
+        ["-h"],
+        ["verify", "-h"],
+        ["verify", "--p1", "2", "--p2", "3", "--window", "3y3"],
+        ["next", "--p1", "2", "--p2", "3", "--i", "18", "--j", "4"],
+        [],
+    ],
+)
+def test_subcommand_dispatch_matches_the_top_level_parse(argv, capsys, monkeypatch):
+    # The console script's call: run() reads sys.argv.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    monkeypatch.setattr(sys, "argv", ["lattice-succ"] + argv)
+
+    def outcome():
+        try:
+            status = run()
+        except SystemExit as exc:
+            status = exc.code
+        return (status, *capsys.readouterr())
+
+    got = outcome()
+    # The reference: with no subcommand to dispatch to, every argv goes through parse_args.
+    monkeypatch.setattr(build_parser(str(cli.DEFAULT_BIT_BUDGET)), "commands", {})
+    assert got == outcome()
+    if "--bogus" in argv:
+        assert got[0] == 2
+        assert got[2].splitlines()[-1] == "lattice-succ: error: unrecognized arguments: --bogus"
+
+
 def _benchmark_verify_argvs(seed: int) -> list[list[str]]:
     """The 1000 argvs of the benchmark's verify workload for a seed, by the same recipe."""
     rng = random.Random(seed)

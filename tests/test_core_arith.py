@@ -421,15 +421,30 @@ class TestCertifiedLogPath:
         assert calls[1][2] == 2 * calls[0][2]
         assert _affine_sign(pair, 1000, 999) == _power_sign(pair, 1000, 999)
 
-    @pytest.mark.parametrize("dk,dn", [(2, 1), (2000, 1000)])
-    def test_dependent_pair_ends_in_a_tie(self, dk, dn, monkeypatch):
+    @pytest.mark.parametrize("dk,dn", [(2, 1), (2000, 1000), (20_000, 10_000), (200_000, 100_000)])
+    def test_dependent_pair_ends_in_a_tie(self, dk, dn):
         # Built directly, bypassing validate_pair: the logs never separate, and
-        # the big-integer fallback finds p1**dk == p2**dn.
-        calls = _spy_log_sign(monkeypatch)
-        with pytest.raises(RationalLogRatio):
-            _affine_sign(GeneratorPair(2, 4), dk, dn)
-        assert all(sign == EQUAL for *_, sign in calls)
-        assert (len(calls) > 0) == (dk > 2)
+        # the big-integer fallback finds p1**dk == p2**dn once the logs pass
+        # about 512 digits. Run apart, so logs that keep widening fail the
+        # test at the timeout instead of holding the suite.
+        code = (
+            "from lattice_succ import core_arith\n"
+            "signs = []\n"
+            "log_sign = core_arith._log_sign\n"
+            "core_arith._log_sign = lambda *args: signs.append(log_sign(*args)) or signs[-1]\n"
+            "try:\n"
+            f"    core_arith._affine_sign(core_arith.GeneratorPair(2, 4), {dk}, {dn})\n"
+            "except core_arith.RationalLogRatio:\n"
+            "    print('RationalLogRatio', len(signs), all(sign == core_arith.EQUAL for sign in signs))\n"
+        )
+        src = str(Path(lattice_succ.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, cwd=src, check=True,
+        )
+        tie, calls, undecided = done.stdout.split()
+        assert (tie, undecided) == ("RationalLogRatio", "True")
+        assert (int(calls) > 0) == (dk > 2)
 
     def test_import_does_not_load_decimal(self):
         # The float logs certify rows 1-12 of (2, 3), all that a shallow query

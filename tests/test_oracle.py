@@ -100,6 +100,31 @@ def test_budget_refusal_at_every_budget_from_2_to_160(p1, p2):
         assert str(got.value) == want, budget
 
 
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_batch_heap_matches_the_stream_on_3000(p1, p2):
+    pair = pair_for(p1, p2)
+    stream = SortedStream(pair)
+    assert enumerate_sorted(pair, 3000) == [(next(stream), stream.last_value) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_batch_heap_and_stream_refuse_at_the_same_index(p1, p2):
+    # The stream does not refuse by itself; enumerate_sorted refuses where
+    # value() refuses the stream's element.
+    pair = validate_pair(p1, p2, bit_budget=40)
+    stream = SortedStream(pair)
+    streamed = []
+    with pytest.raises(BudgetExceeded):
+        while True:
+            p = next(stream)
+            assert value(pair, p) == stream.last_value
+            streamed.append((p, stream.last_value))
+    idx = len(streamed)
+    assert enumerate_sorted(pair, idx) == streamed
+    with pytest.raises(BudgetExceeded):
+        enumerate_sorted(pair, idx + 1)
+
+
 def test_bad_key_rejected(pair23):
     with pytest.raises(ValueError):
         SortedStream(pair23, key="float")
