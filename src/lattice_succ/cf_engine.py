@@ -33,9 +33,9 @@ from .core_arith import (
     InvalidArgument,
     LatticeError,
     NoPredecessor,
+    NonIntegerArgument,
     _integer,
     _ln,
-    validate_pair,
 )
 
 
@@ -69,6 +69,8 @@ class ConvergentTable:
     """
 
     def __init__(self, pair: GeneratorPair):
+        if not isinstance(pair, GeneratorPair):
+            raise NonIntegerArgument(f"a table needs a GeneratorPair from validate_pair, got {pair!r}")
         self.pair = pair
         self._a = [0]
         self._h_even, self._h_odd = [0], []
@@ -156,8 +158,6 @@ class ConvergentTable:
 
         With ln(p_i) = n_i * 10**u_i to within half a last digit, 1/alpha
         lies in [(2n2 - 1)/(2n1 + 1), (2n2 + 1)/(2n1 - 1)] * 10**(u2 - u1).
-        A doubling that gains no quotient checks the pair: only a rational
-        alpha (a dependent pair built without validate_pair) never separates.
         """
         prec = 2 * self._prec or 32
         (n1, u1), (n2, u2) = _ln(self.pair.p1, prec), _ln(self.pair.p2, prec)
@@ -165,8 +165,6 @@ class ConvergentTable:
         cf = _shared_quotients((2 * n2 - 1) * s2, (2 * n1 + 1) * s1, (2 * n2 + 1) * s2, (2 * n1 - 1) * s1)
         if len(cf) > len(self._cf):
             self._cf = cf
-        elif self._prec:
-            validate_pair(self.pair.p1, self.pair.p2)
         self._prec = prec
 
 

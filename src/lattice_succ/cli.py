@@ -300,13 +300,23 @@ def run(argv=None, out=None) -> int:
     try:
         pair = validate_pair(args.p1, args.p2, args.bit_budget)
         return _COMMANDS[args.command](args, pair, out)
+    except BrokenPipeError:
+        raise  # the reader of the output left; main exits quietly
     except (LatticeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # output that fit the buffer meets a closed pipe here
+    except BrokenPipeError:
+        # As `| head` expects: exit 128 + SIGPIPE with nothing on stderr, and
+        # point stdout at devnull so the interpreter's last flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

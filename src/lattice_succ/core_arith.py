@@ -9,6 +9,9 @@ themselves, a big-integer comparison p2**h < p1**k decides, if the powers
 fit in the bit budget; powers past the budget leave the logs widening up to
 it. No approximate result is ever trusted unless its error bound certifies
 the sign.
+
+`GeneratorPair` checks the paper's hypothesis when it is built, so alpha is
+irrational and `_affine_sign`'s tie check is only a safety check.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ _FLOAT_ABS_MARGIN = 1e-9
 _LOG2_10 = math.log2(10)
 
 # When the powers fit the budget, decimal logs stop widening at about 512
-# digits and the powers decide. A sign that 512-digit logs leave open is in
-# practice an exact tie (a dependent pair built directly), which only the
-# powers settle; and logs cost about as much as 10**5-bit powers at 512
-# digits, and five to ten times more per doubling beyond.
+# digits and the powers decide: logs cost about as much as 10**5-bit powers
+# at 512 digits, and five to ten times more per doubling beyond.
 _LN_MAX_BITS = 512 * _LOG2_10
 
 
@@ -68,21 +69,34 @@ class InvalidArgument(LatticeError, ValueError):
 
 
 class NonIntegerArgument(LatticeError, TypeError):
-    """A generator, budget or index that is not an integer (has no __index__), or a non-pair grid point."""
+    """A non-integer generator, budget or index (no __index__), a non-pair point, or a table's non-pair."""
 
 
 class GeneratorPair:
-    """Validated generators (p1, p2) with alpha = log(p1)/log(p2) irrational.
+    """Generators 1 < p1 < p2 with alpha = log(p1)/log(p2) irrational, checked when built.
 
-    Construct through validate_pair; the class itself does not check. Frozen:
-    assigning to an instance raises AttributeError. Equality and hashing use
-    (p1, p2, bit_budget); `_log2`, the two base-2 logs, is derived from them.
+    A field without __index__ raises NonIntegerArgument, p1, p2 out of order or
+    a bit budget below 1 OrderViolation, and powers of one base (alpha rational)
+    RationalLogRatio. Frozen: assigning to an instance raises AttributeError.
+    Equality and hashing use (p1, p2, bit_budget); `_log2`, the two base-2
+    logs, is derived from them.
     """
 
     __slots__ = ("p1", "p2", "bit_budget", "_log2")
     __match_args__ = ("p1", "p2", "bit_budget")
 
     def __init__(self, p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET):
+        p1, p2 = _integer(p1, "p1"), _integer(p2, "p2")
+        bit_budget = _integer(bit_budget, "bit_budget")
+        if p1 <= 1 or p2 <= p1:
+            raise OrderViolation(f"need 1 < p1 < p2, got p1={p1}, p2={p2}")
+        if bit_budget < 1:
+            raise OrderViolation(f"bit_budget must be positive, got {bit_budget}")
+        if m := _common_base(p1, p2):
+            raise RationalLogRatio(
+                f"theory requires multiplicatively independent generators, but {p1} and {p2} "
+                f"are both powers of {m}; log({p1})/log({p2}) is rational"
+            )
         put = object.__setattr__
         put(self, "p1", p1)
         put(self, "p2", p2)
@@ -123,26 +137,19 @@ class AffineForm(NamedTuple):
 ZERO_FORM = AffineForm(0, 0)
 
 
-def _integer_root(x: int, r: int) -> int:
-    """Largest m with m**r <= x, for x >= 1, r >= 1."""
-    if r == 1:
-        return x
-    # Integer Newton iteration falls monotonically from any start above the root.
-    m = 1 << -(-x.bit_length() // r)
-    while True:
-        below = ((r - 1) * m + x // m ** (r - 1)) // r
-        if below >= m:
-            return m
-        m = below
+def _common_base(a: int, b: int) -> int:
+    """An m with a and b both powers of m, for a, b > 1; 0 when there is none.
 
-
-def perfect_power_base(p: int) -> tuple[int, int]:
-    """Decompose p > 1 as m**u with u maximal; returns (m, u)."""
-    for r in range(p.bit_length() - 1, 1, -1):
-        m = _integer_root(p, r)
-        if m**r == p:
-            return m, r
-    return p, 1
+    For a < b, a and b are powers of one base iff a divides b and a and b // a
+    are, which is Euclid's algorithm on the two exponents.
+    """
+    while a != b:
+        if a > b:
+            a, b = b, a
+        b, r = divmod(b, a)
+        if r:
+            return 0
+    return a
 
 
 def _integer(x, name: str) -> int:
@@ -154,25 +161,7 @@ def _integer(x, name: str) -> int:
 
 
 def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> GeneratorPair:
-    """Check 1 < p1 < p2 and multiplicative independence of (p1, p2).
-
-    Independence (equivalently, irrationality of log(p1)/log(p2)) is decided
-    by perfect-power decomposition: p1 = m**u, p2 = n**v with m, n not
-    perfect powers; the pair is dependent iff m == n.
-    """
-    p1, p2 = _integer(p1, "p1"), _integer(p2, "p2")
-    bit_budget = _integer(bit_budget, "bit_budget")
-    if p1 <= 1 or p2 <= p1:
-        raise OrderViolation(f"need 1 < p1 < p2, got p1={p1}, p2={p2}")
-    if bit_budget < 1:
-        raise OrderViolation(f"bit_budget must be positive, got {bit_budget}")
-    m, _ = perfect_power_base(p1)
-    n, _ = perfect_power_base(p2)
-    if m == n:
-        raise RationalLogRatio(
-            f"theory requires multiplicatively independent generators, but {p1} and {p2} "
-            f"are both powers of {m}; log({p1})/log({p2}) is rational"
-        )
+    """GeneratorPair(p1, p2, bit_budget), the checked pair under the name the README uses."""
     return GeneratorPair(p1, p2, bit_budget)
 
 

@@ -1,22 +1,22 @@
 import math
 import random
-import subprocess
 import sys
 import threading
 import traceback
-from pathlib import Path
 
 import pytest
 
-import lattice_succ
 from lattice_succ import (
     DEFAULT_BIT_BUDGET,
     GREATER,
     LESS,
     BudgetExceeded,
     ConvergentTable,
+    GeneratorPair,
     GridPoint,
     IndexBeyondTable,
+    NonIntegerArgument,
+    RationalLogRatio,
     cf_engine,
     compare_fraction,
     core_arith,
@@ -103,21 +103,16 @@ def test_quotients_to_depth_60_match_slow_mediant_walk(p1, p2):
 
 @pytest.mark.parametrize("p1,p2", [(2, 4), (4, 8), (9, 27), (2, 1024)])
 def test_dependent_pair_ends_in_rational_log_ratio(p1, p2):
-    # Built directly, bypassing validate_pair: alpha is rational, so no
-    # interval separates its last quotient at any precision, and the table
-    # must find the dependence instead of doubling forever. Run apart, so a
-    # loop that never ends fails the test at the timeout instead of hanging it.
-    code = (
-        "import lattice_succ\n"
-        f"table = lattice_succ.ConvergentTable(lattice_succ.GeneratorPair({p1}, {p2}))\n"
-        "try:\n"
-        "    table.extend_to(3)\n"
-        "except lattice_succ.RationalLogRatio:\n"
-        "    print('RationalLogRatio', table.depth)\n"
-    )
-    src = str(Path(lattice_succ.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=src, check=True)
-    assert done.stdout.split()[0] == "RationalLogRatio"
+    # alpha is rational, so no interval would ever separate its last quotient;
+    # such a pair is refused when it is built, before any table exists.
+    with pytest.raises(RationalLogRatio):
+        ConvergentTable(GeneratorPair(p1, p2))
+
+
+@pytest.mark.parametrize("pair", [(2, 3), [2, 3], None, "2 3"])
+def test_table_over_a_non_pair_is_typed(pair):
+    with pytest.raises(NonIntegerArgument, match="validate_pair"):
+        ConvergentTable(pair)
 
 
 def test_extend_until(table23):

@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,48 @@ def test_tile_unwritable_svg_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _console(argv, **kwargs):
+    """The command line in a process of its own, as `lattice-succ argv...` runs it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "lattice_succ.cli", *argv], cwd=src, stderr=subprocess.PIPE, text=True, **kwargs
+    )
+
+
+def test_a_reader_that_leaves_early_gets_a_quiet_exit_141():
+    # `lattice-succ enum ... | head -2`: the output outgrows the pipe, and the
+    # reader closes it after two lines.
+    proc = _console(["enum", "--p1", "2", "--p2", "3", "--count", "20000"], stdout=subprocess.PIPE)
+    lines = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert lines == ["index\ti\tj\tvalue\n", "0\t0\t0\t1\n"]
+    assert (proc.returncode, err) == (141, "")
+
+
+def test_output_that_fits_the_buffer_meets_a_closed_pipe_quietly():
+    # The pipe is closed before the process starts, and five lines fit the
+    # output buffer, so the closed pipe shows only when main flushes it.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _console(["enum", "--p1", "2", "--p2", "3", "--count", "5"], stdout=write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, "")
+
+
+def test_unwritable_svg_exits_2_in_its_own_process(tmp_path):
+    proc = _console(
+        ["tile", "--p1", "2", "--p2", "3", "--width", "5", "--height", "5", "--svg", str(tmp_path / "missing" / "t.svg")],
+        stdout=subprocess.DEVNULL,
+    )
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_tile_tilde_differs():

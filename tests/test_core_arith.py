@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,8 +32,8 @@ from lattice_succ.core_arith import (
     _FLOAT_REL_MARGIN,
     ZERO_FORM,
     _affine_sign,
+    _common_base,
     _f_search,
-    perfect_power_base,
 )
 
 from conftest import PAIR_ARGS, pair_for, safe_depth, slow_quotients, table_for
@@ -40,53 +41,127 @@ from conftest import PAIR_ARGS, pair_for, safe_depth, slow_quotients, table_for
 pairs = st.sampled_from([pair_for(*a) for a in PAIR_ARGS])
 
 
+def _build(args):
+    """A pair built from args by both constructors, which must agree; or the (type, message) both raised."""
+    outcomes = []
+    for make in (validate_pair, GeneratorPair):
+        try:
+            outcomes.append(make(*args))
+        except LatticeError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
 class TestValidatePair:
+    # Every case builds its pair through both validate_pair and GeneratorPair.
     def test_distinct_primes(self):
-        pair = validate_pair(2, 3)
+        pair = _build((2, 3))
         assert (pair.p1, pair.p2) == (2, 3)
 
     @pytest.mark.parametrize("p1,p2", [(4, 8), (2, 4), (9, 27), (4, 16), (8, 32)])
     def test_dependent_powers_rejected(self, p1, p2):
-        with pytest.raises(RationalLogRatio):
-            validate_pair(p1, p2)
+        assert _build((p1, p2))[0] is RationalLogRatio
 
     @pytest.mark.parametrize("p1,p2", [(2, 12), (6, 10), (4, 6), (6, 12), (12, 18)])
     def test_independent_composites_accepted(self, p1, p2):
-        validate_pair(p1, p2)
+        assert isinstance(_build((p1, p2)), GeneratorPair)
 
     @pytest.mark.parametrize("p1,p2", [(1, 3), (0, 2), (3, 3), (5, 2), (-2, 3)])
     def test_order_violations(self, p1, p2):
-        with pytest.raises(OrderViolation):
-            validate_pair(p1, p2)
+        assert _build((p1, p2))[0] is OrderViolation
 
     def test_generator_past_float_range(self):
-        # 10**400 overflows a float; the perfect-power test must stay in integers
+        # 10**400 overflows a float; the dependence test must stay in integers
         assert isinstance(validate_pair(2, 10**400), GeneratorPair)
-        assert perfect_power_base(10**400) == (10, 400)
         with pytest.raises(RationalLogRatio):
             validate_pair(10**200, 10**400)
+        assert _build((10**200, 10**400))[0] is RationalLogRatio
 
     @pytest.mark.parametrize("args", [(2.0, 3), ("2", 3), (2, 3.5), (2, 3, 1e6), (None, 3)])
     def test_non_integer_arguments_are_typed(self, args):
         with pytest.raises(NonIntegerArgument) as exc:
             validate_pair(*args)
         assert isinstance(exc.value, LatticeError) and isinstance(exc.value, TypeError)
+        assert _build(args)[0] is NonIntegerArgument
 
     def test_index_objects_accepted(self):
         class Two:
             def __index__(self):
                 return 2
 
-        pair = validate_pair(Two(), 3)
-        assert (pair.p1, pair.p2) == (2, 3) and type(pair.p1) is int
+        for pair in (validate_pair(Two(), 3), GeneratorPair(Two(), 3), GeneratorPair(2, 3, Two())):
+            assert (pair.p1, pair.p2) == (2, 3) and type(pair.p1) is int and type(pair.bit_budget) is int
+
+    @pytest.mark.parametrize(
+        "make,kind",
+        [
+            (lambda: ConvergentTable(GeneratorPair(1, 3)), OrderViolation),
+            (lambda: GeneratorPair(2.5, 3), NonIntegerArgument),
+            (lambda: GeneratorPair(2, 3, 0), OrderViolation),
+            (lambda: GeneratorPair("a", 3), NonIntegerArgument),
+        ],
+        ids=["p1-is-1", "float-generator", "zero-budget", "str-generator"],
+    )
+    def test_direct_construction_is_checked(self, make, kind):
+        # Each of these used to build a pair, which then failed later (a raw
+        # ZeroDivisionError, a float value, a budget refusal, a raw TypeError).
+        with pytest.raises(kind):
+            make()
+
+    def test_the_message_names_a_common_base(self):
+        assert _build((4, 16)) == (
+            RationalLogRatio,
+            "theory requires multiplicatively independent generators, but 4 and 16 "
+            "are both powers of 4; log(4)/log(16) is rational",
+        )
+
+
+def _dependent_by_powers(p1, p2):
+    """Whether p1**u == p2**v for some u, v >= 1, by direct power equality (u, v below the bit lengths)."""
+    return any(
+        p1**u == p2**v for u in range(1, p2.bit_length() + 1) for v in range(1, p1.bit_length() + 1)
+    )
+
+
+def test_dependence_verdict_matches_power_equality():
+    dependent = 0
+    for p1 in range(2, 300):
+        for p2 in range(p1 + 1, 301):
+            verdict = bool(_common_base(p1, p2))
+            assert verdict == _dependent_by_powers(p1, p2), (p1, p2)
+            dependent += verdict
+    # Two powers of one base that is not itself a power: 8 powers of 2 below 301
+    # give 28 pairs, 5 of 3 give 10, 3 each of 5 and 6 give 3 each, and 7, 10, 11,
+    # 12, 13, 14, 15, 17 with their squares give one each.
+    assert dependent == 28 + 10 + 3 + 3 + 8
+
+
+def test_dependence_verdict_on_large_powers():
+    rng = random.Random(19)
+    for _ in range(300):
+        r, u, v = rng.randrange(2, 10**6), rng.randrange(1, 30), rng.randrange(1, 30)
+        if u == v:
+            continue
+        a, b = sorted((r**u, r**v))
+        base = _common_base(a, b)
+        assert base and a == base ** round(math.log(a) / math.log(base)), (r, u, v)
+        assert b == base ** round(math.log(b) / math.log(base))
+        # r**u + 1 is coprime to r, so it shares no base with r**v
+        assert not _common_base(*sorted((r**u + 1, r**v))), (r, u, v)
+        assert not _common_base(*sorted((r**u, r**v + 1))), (r, u, v)
 
 
 @pytest.mark.parametrize(
     "p,base,exp",
     [(2, 2, 1), (4, 2, 2), (8, 2, 3), (64, 2, 6), (36, 6, 2), (12, 12, 1), (729, 3, 6)],
 )
-def test_perfect_power_base(p, base, exp):
-    assert perfect_power_base(p) == (base, exp)
+def test_common_base(p, base, exp):
+    # p = base**exp and the next power of base share base itself, and nothing shares one with p + 1
+    assert p == base**exp
+    assert _common_base(p, base ** (exp + 1)) == base
+    assert _common_base(p, p) == p
+    assert _common_base(p, base ** (exp + 1) + 1) == 0
 
 
 class TestCompareFraction:
@@ -423,17 +498,22 @@ class TestCertifiedLogPath:
 
     @pytest.mark.parametrize("dk,dn", [(2, 1), (2000, 1000), (20_000, 10_000), (200_000, 100_000)])
     def test_dependent_pair_ends_in_a_tie(self, dk, dn):
-        # Built directly, bypassing validate_pair: the logs never separate, and
-        # the big-integer fallback finds p1**dk == p2**dn once the logs pass
-        # about 512 digits. Run apart, so logs that keep widening fail the
-        # test at the timeout instead of holding the suite.
+        # A dependent pair, built around the checking constructor: the logs
+        # never separate, and the big-integer fallback finds p1**dk == p2**dn
+        # once the logs pass about 512 digits. Run apart, so logs that keep
+        # widening fail the test at the timeout instead of holding the suite.
         code = (
+            "import math\n"
             "from lattice_succ import core_arith\n"
+            "pair = core_arith.GeneratorPair.__new__(core_arith.GeneratorPair)\n"
+            "fields = dict(p1=2, p2=4, bit_budget=core_arith.DEFAULT_BIT_BUDGET, _log2=(1.0, 2.0))\n"
+            "for name, value in fields.items():\n"
+            "    object.__setattr__(pair, name, value)\n"
             "signs = []\n"
             "log_sign = core_arith._log_sign\n"
             "core_arith._log_sign = lambda *args: signs.append(log_sign(*args)) or signs[-1]\n"
             "try:\n"
-            f"    core_arith._affine_sign(core_arith.GeneratorPair(2, 4), {dk}, {dn})\n"
+            f"    core_arith._affine_sign(pair, {dk}, {dn})\n"
             "except core_arith.RationalLogRatio:\n"
             "    print('RationalLogRatio', len(signs), all(sign == core_arith.EQUAL for sign in signs))\n"
         )
