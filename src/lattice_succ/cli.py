@@ -9,7 +9,7 @@ import sys
 from functools import lru_cache
 
 from .cf_engine import ConvergentTable
-from .core_arith import DEFAULT_BIT_BUDGET, LatticeError, validate_pair
+from .core_arith import DEFAULT_BIT_BUDGET, _SPLIT_BITS, LatticeError, validate_pair
 from .successor import GridPoint, next_point, prev_point, value, walk
 
 # The handlers of enum, tile, gaps and verify import the verifier modules
@@ -17,12 +17,6 @@ from .successor import GridPoint, next_point, prev_point, value, walk
 
 BUDGET_ENV_VAR = "LATTICE_SUCC_BIT_BUDGET"
 FORMATS = ("text", "json-lines", "tsv")
-
-
-# An int of at most this many bits has at most 603 digits, below the smallest
-# int-to-str limit the interpreter accepts (640), so str() prints it whatever
-# the limit is set to.
-_SPLIT_BITS = 2000
 
 
 def _decimal(n: int) -> str:

@@ -34,6 +34,11 @@ _FLOAT_ABS_MARGIN = 1e-9
 
 _LOG2_10 = math.log2(10)
 
+# An int of at most this many bits has at most 603 digits, below the smallest
+# int-to-str limit the interpreter accepts (640), so str() prints it whatever
+# the limit is set to.
+_SPLIT_BITS = 2000
+
 # When the powers fit the budget, decimal logs stop widening at about 512
 # digits and the powers decide: logs cost about as much as 10**5-bit powers
 # at 512 digits, and five to ten times more per doubling beyond.
@@ -89,13 +94,14 @@ class GeneratorPair:
         p1, p2 = _integer(p1, "p1"), _integer(p2, "p2")
         bit_budget = _integer(bit_budget, "bit_budget")
         if p1 <= 1 or p2 <= p1:
-            raise OrderViolation(f"need 1 < p1 < p2, got p1={p1}, p2={p2}")
+            raise OrderViolation(f"need 1 < p1 < p2, got p1={_show(p1)}, p2={_show(p2)}")
         if bit_budget < 1:
-            raise OrderViolation(f"bit_budget must be positive, got {bit_budget}")
+            raise OrderViolation(f"bit_budget must be positive, got {_show(bit_budget)}")
         if m := _common_base(p1, p2):
+            a, b = _show(p1), _show(p2)
             raise RationalLogRatio(
-                f"theory requires multiplicatively independent generators, but {p1} and {p2} "
-                f"are both powers of {m}; log({p1})/log({p2}) is rational"
+                f"theory requires multiplicatively independent generators, but {a} and {b} "
+                f"are both powers of {_show(m)}; log({a})/log({b}) is rational"
             )
         put = object.__setattr__
         put(self, "p1", p1)
@@ -150,6 +156,13 @@ def _common_base(a: int, b: int) -> int:
         if r:
             return 0
     return a
+
+
+def _show(n: int) -> str:
+    """n for a message: its digits up to _SPLIT_BITS bits, its bit length past them."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 def _integer(x, name: str) -> int:

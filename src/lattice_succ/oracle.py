@@ -1,14 +1,17 @@
 """Brute-force ground truth: sorted enumeration of S by merging.
 
-The stream keeps one pending candidate per p2-exponent row; a new row is
-opened whenever a row head with p1-exponent 0 is emitted. This gives every
-element exactly once in increasing order with O(rows) memory.
+The stream keeps one pending candidate per p2-exponent row in a heap; a new
+row is opened whenever a row head with p1-exponent 0 is emitted. This gives
+every element exactly once in increasing order with O(rows) memory. The
+batch `enumerate_sorted` merges the p1- and p2-multiples of the list it has
+built instead, so comparing the two checks one algorithm against another.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
+from itertools import repeat
 
 from .core_arith import LESS, AffineForm, GeneratorPair, InvalidArgument, ZERO_FORM, _integer, compare_affine
 from .successor import GridPoint, _check_value_budget, _coords, _point, value
@@ -67,28 +70,42 @@ class SortedStream:
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
     """First `count` elements of S as (coordinates, exact value); refuses where value() would.
 
-    The batch form of `SortedStream`'s merge: one local heap loop over
-    (value, i, j) entries, the same order and the same elements as the lazy
-    stream with integer keys, without a call per element.
+    Dijkstra's two-index merge, an algorithm apart from `SortedStream`'s heap:
+    every element but 1 is p1 or p2 times a smaller one, so the next element
+    is the smaller of vals[a]*p1 and vals[b]*p2, where a (b) indexes the least
+    listed element whose p1- (p2-) multiple is not yet listed. Equal products
+    are one element, reached both ways, and advance both indexes.
     """
     count = _integer(count, "count")
     if count < 1:
         raise InvalidArgument(f"count must be positive, got {count}")
     p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
-    push, replace = heapq.heappush, heapq.heapreplace
-    heap = [(1, 0, 0)]
-    out = []
-    for _ in range(count):
-        v, i, j = heap[0]
+    vals, ij = [1], [(0, 0)]  # the values and coordinates listed; value() never refuses (0, 0)
+    a = b = 0
+    x1, x2 = p1, p2  # vals[a] * p1 and vals[b] * p2
+    for _ in range(count - 1):
+        if x1 <= x2:
+            v = x1
+            i, j = ij[a]
+            i += 1
+            vals.append(v)  # vals[a + 1] may be v itself
+            if x1 == x2:
+                b += 1
+                x2 = vals[b] * p2
+            a += 1
+            x1 = vals[a] * p1
+        else:
+            v = x2
+            i, j = ij[b]
+            j += 1
+            vals.append(v)
+            b += 1
+            x2 = vals[b] * p2
         # Below this length log2(v) < budget - 1 bounds both exponents and the estimate: no refusal.
         if v.bit_length() >= budget:
             _check_value_budget(pair, i, j)
-        # The right neighbour is larger than the head, so it can replace it.
-        replace(heap, (v * p1, i + 1, j))
-        if i == 0:
-            push(heap, (v * p2, 0, j + 1))
-        out.append((_point(GridPoint, (i, j)), v))
-    return out
+        ij.append((i, j))
+    return list(zip(map(_point, repeat(GridPoint), ij), vals))
 
 
 def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:

@@ -1,6 +1,7 @@
 """Executable verifiers for the upper/lower sequence and fractional-part theorems.
 
-All checks run through exact affine-form comparisons; nothing here shortcuts
+Every decision is exact: a float decides only where its certified error bound
+settles it, and `f` or `_affine_sign` decides the rest. Nothing here shortcuts
 via the statements under test.
 """
 
@@ -9,6 +10,8 @@ from __future__ import annotations
 from .cf_engine import ConvergentTable, _bands, _last
 from .core_arith import (
     EQUAL,
+    _FLOAT_ABS_MARGIN,
+    _FLOAT_REL_MARGIN,
     GREATER,
     LESS,
     AffineForm,
@@ -20,9 +23,6 @@ from .core_arith import (
     _integer,
     f,
 )
-
-# Bits below the binary point kept in the record scan's exact key for z_n.
-_KEY_BITS = 64
 
 
 class VerifyReport:
@@ -142,46 +142,72 @@ def minimal_fractional_subsequences(
     lists. Returns the two index lists. A tie between distinct indices is
     impossible for irrational alpha and raises InternalConsistencyError.
 
-    z_n = log_p2(p1**f(n) / p2**n), so floors of that ratio times 2**_KEY_BITS
-    order the z strictly where they differ; equal floors go to _affine_sign.
-    Both powers stay below p2**(N+1), which the bit budget must allow.
+    The scan carries u = f(n)*lp1 - n*lp2 = z_n*log2(p2) as a float, where
+    (lp1, lp2) = pair._log2, and builds no power: each step subtracts lp2,
+    then adds lp1 while u is surely negative, since f(n) is the least k with
+    u > 0. The computed u stays within `margin` of the true f(n)*log2(p1) -
+    n*log2(p2):
+    - the logs are trusted to `_FLOAT_REL_MARGIN` of f(n)*lp1 + n*lp2, as
+      `_affine_sign`'s float filter trusts them, and that sum is largest at
+      n = N, with f(N) < f_top;
+    - each addition or subtraction since u was last formed rounds once, by at
+      most (lp1 + lp2) * 2**-53 as |u| < lp1 + lp2, and there are fewer than
+      N + f(N) of them; forming u from f(n) rounds within the relative term;
+    - margin allows N + f_top > N + f(N) + 1 roundings, and the two spare ones
+      with `_FLOAT_ABS_MARGIN` cover forming the record bounds u +- 2*margin.
+    So a u beyond the margin has the true sign; one within it has f(n)
+    settled by `f` and u formed again. Two u's more than 2*margin apart are
+    ordered as the true ones; closer ones go to `_affine_sign`.
+
+    The exact fallbacks may still build powers below p2**(N+1), which the
+    bit budget must allow.
     """
     N = _integer(N, "N")
     if N < 1:
         raise InvalidArgument(f"N must be positive, got {N}")
     pair = table.pair
-    p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
+    p2, budget = pair.p2, pair.bit_budget
+    lp1, lp2 = pair._log2
     # log2(p2) > 1, so the first test also keeps an N too large for a float out of the second.
-    if N + 1 > budget or (N + 1) * pair._log2[1] > budget:
+    if N + 1 > budget or (N + 1) * lp2 > budget:
         raise BudgetExceeded(f"record scan to N = {N} builds {p2}**{N + 1}, more bits than the budget {budget}")
+    f_top = N * lp2 / lp1 + 2  # above f(N) = ceil(N*lp2/lp1)
+    margin = (
+        (f_top * lp1 + N * lp2) * _FLOAT_REL_MARGIN
+        + _FLOAT_ABS_MARGIN
+        + (N + f_top) * (lp1 + lp2) * 2**-53
+    )
+    below, twice = -margin, 2 * margin
     n_records: list[int] = [1]
     m_records: list[int] = [1]
-    # Incremental f: maintain p1**fn > p2**n > p1**(fn-1).
-    fn = f(pair, 1)
-    pow1 = p1**fn
-    pow2 = p2
     # n = 1 opens both lists: y_1 is the first y, and z_1 < z_0 = alpha is
-    # f(1)'s definition. The running min and max of z are kept as key, f(n), n.
-    q_min = q_max = (pow1 << _KEY_BITS) // pow2
+    # f(1)'s definition. The running min and max of z are kept as u, f(n), n.
+    fn = f(pair, 1)
+    u = fn * lp1 - lp2
+    # A u below min_hi (above max_lo) may be a record; below min_lo (above max_hi) it is one.
+    min_lo = max_lo = u - twice
+    min_hi = max_hi = u + twice
     k_min, n_min = k_max, n_max = fn, 1
     for n in range(2, N + 1):
-        pow2 *= p2
-        while pow1 <= pow2:
+        u -= lp2
+        while u < below:
+            u += lp1
             fn += 1
-            pow1 *= p1
-        q = (pow1 << _KEY_BITS) // pow2
-        if q <= q_min:
-            c = LESS if q < q_min else _affine_sign(pair, fn - k_min, n - n_min)
+        if u <= margin:  # the sign of u, so f(n), is in doubt
+            fn = f(pair, n)
+            u = fn * lp1 - n * lp2
+        if u < min_hi:
+            c = LESS if u < min_lo else _affine_sign(pair, fn - k_min, n - n_min)
             if c == LESS:
-                q_min, k_min, n_min = q, fn, n
+                min_lo, min_hi, k_min, n_min = u - twice, u + twice, fn, n
                 n_records.append(n)
                 continue
             if c == EQUAL:
                 raise InternalConsistencyError(f"z_{n} ties the running minimum")
-        if q >= q_max:
-            c = GREATER if q > q_max else _affine_sign(pair, fn - k_max, n - n_max)
+        if u > max_lo:
+            c = GREATER if u > max_hi else _affine_sign(pair, fn - k_max, n - n_max)
             if c == GREATER:
-                q_max, k_max, n_max = q, fn, n
+                max_lo, max_hi, k_max, n_max = u - twice, u + twice, fn, n
                 m_records.append(n)
             elif c == EQUAL:
                 raise InternalConsistencyError(f"y_{n} ties the running minimum")

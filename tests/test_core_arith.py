@@ -116,6 +116,31 @@ class TestValidatePair:
             "are both powers of 4; log(4)/log(16) is rational",
         )
 
+    @pytest.mark.parametrize(
+        "args,kind,message",
+        [
+            (
+                (2, 2**20000),
+                RationalLogRatio,
+                "theory requires multiplicatively independent generators, but 2 and <20001-bit integer> "
+                "are both powers of 2; log(2)/log(<20001-bit integer>) is rational",
+            ),
+            ((10**5000, 3), OrderViolation, "need 1 < p1 < p2, got p1=<16610-bit integer>, p2=3"),
+        ],
+        ids=["dependent", "out-of-order"],
+    )
+    def test_huge_generators_are_named_by_bit_length(self, args, kind, message):
+        # Under the default int-to-str limit (4300 digits), str() of these
+        # generators raises a raw ValueError, so the message must not call it.
+        old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if old is not None:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            assert _build(args) == (kind, message)
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
+
 
 def _dependent_by_powers(p1, p2):
     """Whether p1**u == p2**v for some u, v >= 1, by direct power equality (u, v below the bit lengths)."""

@@ -107,7 +107,20 @@ def test_batch_heap_matches_the_stream_on_3000(p1, p2):
     assert enumerate_sorted(pair, 3000) == [(next(stream), stream.last_value) for _ in range(3000)]
 
 
-@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+# The conftest pairs, a p2 that p1 divides, and adjacent generators. Every
+# element p1**i * p2**j with i, j >= 1 is both (p1**(i-1) * p2**j) * p1 and
+# (p1**i * p2**(j-1)) * p2, so the merge advances both indexes on every pair.
+MERGE_PAIRS = PAIR_ARGS + [(2, 6), (6, 7), (1000, 1001)]
+
+
+@pytest.mark.parametrize("p1,p2", MERGE_PAIRS)
+def test_merge_matches_the_stream_on_20000(p1, p2):
+    pair = pair_for(p1, p2)
+    stream = SortedStream(pair)
+    assert enumerate_sorted(pair, 20_000) == [(next(stream), stream.last_value) for _ in range(20_000)]
+
+
+@pytest.mark.parametrize("p1,p2", MERGE_PAIRS)
 def test_batch_heap_and_stream_refuse_at_the_same_index(p1, p2):
     # The stream does not refuse by itself; enumerate_sorted refuses where
     # value() refuses the stream's element.

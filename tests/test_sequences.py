@@ -23,6 +23,9 @@ from lattice_succ.sequences import check_strictly_decreasing
 
 from conftest import PAIR_ARGS, safe_depth, table_for
 
+# The conftest pairs, adjacent generators, and generators far apart in size.
+SCAN_PAIRS = PAIR_ARGS + [(5, 7), (10, 11), (6, 7), (1000, 1001), (2, 10**6), (99991, 299967)]
+
 
 def frac_parts(pair, n):
     """The two fractional parts at n: z = f(n)*alpha - n and y = n - g(n)*alpha, g = f - 1."""
@@ -135,8 +138,8 @@ class TestMinimalFractionalSubsequences:
         m_diffs = [b - a for a, b in zip(m_rec, m_rec[1:])]
         assert m_diffs == pattern("even", len(m_diffs))
 
-    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
-    @pytest.mark.parametrize("N", [1, 2, 3000])
+    @pytest.mark.parametrize("p1,p2", SCAN_PAIRS)
+    @pytest.mark.parametrize("N", [1, 2, 3, 240, 3000])
     def test_matches_frac_parts_reference(self, p1, p2, N):
         # the scan written out: both fractional parts as AffineForms per n,
         # each compared with its own running minimum
@@ -154,23 +157,59 @@ class TestMinimalFractionalSubsequences:
                 m_rec.append(n)
         assert minimal_fractional_subsequences(table, N) == (n_rec, m_rec)
 
-
-    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
-    def test_zero_key_width_still_exact(self, p1, p2, monkeypatch):
-        # A key of 0 bits is the floor of p1**f(n) / p2**n, at most p1, so keys
-        # tie often and the exact comparison must settle every tie.
+    @pytest.mark.parametrize("p1,p2", SCAN_PAIRS)
+    def test_records_equal_predicted_chains_to_20000(self, p1, p2):
         table = table_for(p1, p2)
-        want = predicted_record_indices(table, 2000)
-        real, calls = sequences._affine_sign, []
+        assert minimal_fractional_subsequences(table, 20_000) == predicted_record_indices(table, 20_000)
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Replace sequences.<name> by a wrapper that records each call's arguments."""
+        real, calls = getattr(sequences, name), []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sequences, "_KEY_BITS", 0)
-        monkeypatch.setattr(sequences, "_affine_sign", counted)
+        monkeypatch.setattr(sequences, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_zero_key_width_still_exact(self, p1, p2, monkeypatch):
+        # An infinite margin certifies no float decision: every f(n) comes
+        # from f and every record decision from _affine_sign.
+        table = table_for(p1, p2)
+        want = predicted_record_indices(table, 2000)
+        monkeypatch.setattr(sequences, "_FLOAT_ABS_MARGIN", math.inf)
+        f_calls = self._spy(monkeypatch, "f")
+        calls = self._spy(monkeypatch, "_affine_sign")
         assert minimal_fractional_subsequences(table, 2000) == want
         assert len(calls) > 100
+        assert [n for _, n in f_calls] == list(range(1, 2001))
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_wide_margin_mixes_float_and_exact_steps(self, p1, p2, monkeypatch):
+        # A margin of a tenth of a bit sends some steps, not all, to the exact
+        # path, so the float scan resumes from a u formed again after f.
+        table = table_for(p1, p2)
+        want = predicted_record_indices(table, 3000)
+        monkeypatch.setattr(sequences, "_FLOAT_ABS_MARGIN", 0.1)
+        f_calls = self._spy(monkeypatch, "f")
+        calls = self._spy(monkeypatch, "_affine_sign")
+        assert minimal_fractional_subsequences(table, 3000) == want
+        assert 100 < len(f_calls) < 1000
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize(
+        "p1,p2,f_calls,sign_calls",
+        [(p1, p2, 1, 0) for p1, p2 in SCAN_PAIRS],  # only f(1), which opens the scan
+    )
+    def test_floats_settle_the_scan_to_5000(self, p1, p2, f_calls, sign_calls, monkeypatch):
+        table = table_for(p1, p2)
+        fs = self._spy(monkeypatch, "f")
+        signs = self._spy(monkeypatch, "_affine_sign")
+        minimal_fractional_subsequences(table, 5000)
+        assert (len(fs), len(signs)) == (f_calls, sign_calls)
 
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_budget_bounds_the_scan_length(self, p1, p2):
