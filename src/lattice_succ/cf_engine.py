@@ -11,28 +11,24 @@ comparison.
 
 The table keeps the quotients a in one list and h and k split by index
 parity: the even-index convergents lie below alpha and carry the P bands,
-the odd-index ones above it carry the A bands. `_rectangle` finds the
-rectangle holding a grid cell in either partition by bisecting the list of
-one parity, and translates the cell onto its successor (or, in the tilde
-partition, its predecessor); `_bands` enumerates the mediant chains for the
-tiling and the verifiers. `_grow` is the one loop that grows the table until
-a parity list passes a value.
+the odd-index ones above it carry the A bands. `_views` orders the four
+parity lists for the queries in `successor`, which find the rectangle
+holding a grid cell by bisecting the list of one parity; `_bands`
+enumerates the mediant chains for the tiling and the verifiers. `_grow` is
+the one loop that grows the table until a parity list passes a value.
 """
 
 from __future__ import annotations
 
 from _thread import allocate_lock
-from bisect import bisect_right
 from collections.abc import Iterator
 
 from .core_arith import (
     _FLOAT_REL_MARGIN,
     BudgetExceeded,
     GeneratorPair,
-    InternalConsistencyError,
     InvalidArgument,
     LatticeError,
-    NoPredecessor,
     NonIntegerArgument,
     _integer,
     _ln,
@@ -51,7 +47,8 @@ class ConvergentTable:
     `_h_odd[m]` = h_{2m+1}, and `_k_even`, `_k_odd` alike. These five
     append-only lists and `_hk(i)`, which reads (h_i, k_i) from them, are the
     table's read-only view for the rest of the package: readers index them and
-    never write to them.
+    never write to them. `_views` holds the four parity lists in the two
+    orders the queries bisect them in.
 
     Extension holds a per-table lock and re-checks under it; lookups take no
     lock. A row is appended as h of its parity, k of its parity, then a, and
@@ -75,6 +72,11 @@ class ConvergentTable:
         self._a = [0]
         self._h_even, self._h_odd = [0], []
         self._k_even, self._k_odd = [1], []
+        # (ue, uo, ve, vo) over the source view u, v = h, k and the tilde view u, v = k, h
+        self._views = (
+            (self._h_even, self._h_odd, self._k_even, self._k_odd),
+            (self._k_even, self._k_odd, self._h_even, self._h_odd),
+        )
         self._lock = allocate_lock()
         inverse = pair._log2[1] / pair._log2[0]
         wide = inverse * _FLOAT_REL_MARGIN
@@ -188,41 +190,6 @@ def _shared_quotients(n1: int, d1: int, n2: int, d2: int) -> list[int]:
 def _last(m: int, parity: int) -> int:
     """Largest index of the given parity that is at most m (-1 when there is none)."""
     return m - (m - parity) % 2
-
-
-def _rectangle(
-    table: ConvergentTable, ue: list[int], uo: list[int], ve: list[int], vo: list[int], c: int, d: int
-) -> tuple[str, int, int, int, int]:
-    """(family, m, t, c', d'): the rectangle holding the grid cell (c, d), and the cell it translates to.
-
-    ue, uo, ve, vo are the even and odd parity lists of u and v. Source
-    partition: u, v = h, k and (c, d) = (y, x), and (c', d') is the
-    successor; tilde: u, v = k, h and (c, d) = (x, y), and (c', d') is the
-    predecessor. A P cell lies in band (n, t) of n = 2m: c at offset rem
-    from u_n + t*u_{n+1} = ue[m] + t*uo[m], and d < v_{n+1} = vo[m]; it
-    translates to (rem, d + ve[m] + t*vo[m]). Any other cell is an A cell in
-    band (n, t) of n = 2m + 1: d at offset rem from vo[m] + t*ve[m + 1], and
-    c < u_{n+1} = ue[m + 1]; it translates to (c + uo[m] + t*ue[m + 1], rem).
-    Either way the offset rem stays on the band's axis and the other
-    coordinate moves by the band's translation. Cells with c < u_0 (tilde,
-    x = 0) are A cells; (0, 0) has no tilde rectangle. Only _grow grows.
-    """
-    if c >= ue[0]:
-        if ue[-1] <= c:
-            _grow(table, ue, c)
-        m = bisect_right(ue, c) - 1
-        if d < vo[m]:
-            t, rem = divmod(c - ue[m], uo[m])
-            return "P", m, t, rem, d + ve[m] + t * vo[m]
-    elif not d:
-        raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
-    if not vo or vo[-1] <= d:
-        _grow(table, vo, d)
-    m = bisect_right(vo, d) - 1
-    if c >= ue[m + 1]:
-        raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
-    t, rem = divmod(d - vo[m], ve[m + 1])
-    return "A", m, t, c + uo[m] + t * ue[m + 1], rem
 
 
 def _grow(table: ConvergentTable, values: list[int], c: int) -> None:

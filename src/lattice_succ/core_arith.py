@@ -127,7 +127,7 @@ class GeneratorPair:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"GeneratorPair(p1={self.p1!r}, p2={self.p2!r}, bit_budget={self.bit_budget!r})"
+        return f"GeneratorPair(p1={_show(self.p1)}, p2={_show(self.p2)}, bit_budget={_show(self.bit_budget)})"
 
     def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
         return GeneratorPair, self._key()
@@ -266,7 +266,7 @@ def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
     """
     h, k = _integer(h, "h"), _integer(k, "k")
     if h < 0 or k < 0 or (h == 0 and k == 0):
-        raise InvalidArgument(f"invalid fraction {h}/{k}")
+        raise InvalidArgument(f"invalid fraction {_show(h)}/{_show(k)}")
     return -_affine_sign(pair, k, h)
 
 
@@ -291,7 +291,7 @@ def f(pair: GeneratorPair, n: int) -> int:
     """
     n = _integer(n, "n")
     if n < 1:
-        raise InvalidArgument(f"n must be positive, got {n}")
+        raise InvalidArgument(f"n must be positive, got {_show(n)}")
     if n.bit_length() <= 52:
         lp1, lp2 = pair._log2
         k = int(n * lp2 / lp1) + 1

@@ -13,7 +13,7 @@ import heapq
 from collections.abc import Iterator
 from itertools import repeat
 
-from .core_arith import LESS, AffineForm, GeneratorPair, InvalidArgument, ZERO_FORM, _integer, compare_affine
+from .core_arith import LESS, AffineForm, GeneratorPair, InvalidArgument, ZERO_FORM, _integer, _show, compare_affine
 from .successor import GridPoint, _check_value_budget, _coords, _point, value
 
 
@@ -78,7 +78,7 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
     """
     count = _integer(count, "count")
     if count < 1:
-        raise InvalidArgument(f"count must be positive, got {count}")
+        raise InvalidArgument(f"count must be positive, got {_show(count)}")
     p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
     vals, ij = [1], [(0, 0)]  # the values and coordinates listed; value() never refuses (0, 0)
     a = b = 0

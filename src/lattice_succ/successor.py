@@ -4,83 +4,141 @@ The grid decomposes into rectangles, one per band (n, t) of the continued
 fraction of alpha (see `tiling.locate`). A translation built from a primary
 or secondary convergent carries each rectangle onto its tilde partner and
 every element onto its successor in sorted S; undoing the translation of the
-tilde rectangle holding a point gives its predecessor. Each query is one
-`cf_engine._rectangle` call, which finds the rectangle and applies its
-translation: over h, k it gives the successor, over k, h the predecessor.
+tilde rectangle holding a point gives its predecessor. `_query` builds both
+queries from one cell lookup, which runs in the query's own frame:
+`next_point` looks the cell (y, x) up over the table's source view (h, k),
+`prev_point` the cell (x, y) over its tilde view (k, h).
+
+A `GridPoint` is checked when it is built, so a query takes one as it is;
+any other point goes through `_coords` and its errors.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from bisect import bisect_right
+from collections import namedtuple
 
-from .cf_engine import ConvergentTable, _rectangle
-# NoPredecessor is raised in cf_engine._rectangle and exported from here.
+from .cf_engine import ConvergentTable, _grow
 from .core_arith import (
     BudgetExceeded,
     GeneratorPair,
+    InternalConsistencyError,
     InvalidArgument,
     NoPredecessor,
     NonIntegerArgument,
     _integer,
+    _show,
 )
 
 
-class GridPoint(NamedTuple):
-    i: int  # exponent of p1
-    j: int  # exponent of p2
+def _checked(i, j) -> tuple[int, int]:
+    """(i, j) as non-negative ints; the error names the first bad coordinate."""
+    x, y = _integer(i, "i"), _integer(j, "j")
+    if x < 0 or y < 0:
+        raise InvalidArgument(f"grid point must be non-negative, got ({_show(x)}, {_show(y)})")
+    return x, y
 
 
-_point = tuple.__new__  # _point(GridPoint, (i, j)) skips the Python-level NamedTuple __new__
+class GridPoint(namedtuple("GridPoint", ("i", "j"))):
+    """Exponents (i, j) of p1^i * p2^j: two non-negative ints, checked when built.
+
+    A field without __index__ raises NonIntegerArgument and a negative one
+    InvalidArgument. `_make`, `_replace`, pickle and copy build through the
+    same check. It compares and hashes as the plain tuple (i, j).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int):
+        return tuple.__new__(cls, _checked(i, j))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+_point = tuple.__new__  # _point(GridPoint, (i, j)) skips the check, for coordinates the engine built
 
 
 def _coords(p) -> tuple[int, int]:
     """Integer coordinates of p, a tuple or list pair of integers; anything else raises NonIntegerArgument."""
     if not isinstance(p, (tuple, list)) or len(p) != 2:  # bytes, range and the like are not points
         raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}")
-    x, y = _integer(p[0], "i"), _integer(p[1], "j")  # the error names the first bad coordinate
-    if x < 0 or y < 0:
-        raise InvalidArgument(f"grid point must be non-negative, got {tuple(p)}")
-    return x, y
+    return _checked(p[0], p[1])
 
 
-def next_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
-    """Coordinates of the successor of p1^i * p2^j in sorted S."""
-    # A tuple of two non-negative exact ints passes; anything else goes through _coords and its errors.
-    try:
-        x, y = p
-    except (TypeError, ValueError):
-        x, y = _coords(p)
-    if type(x) is not int or type(y) is not int or x < 0 or y < 0 or not isinstance(p, tuple):
-        x, y = _coords(p)
-    _, _, _, y, x = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
-    return _point(GridPoint, (x, y))
+def _grid_point(p) -> GridPoint:
+    """p itself if it is a GridPoint, else the GridPoint of its coordinates checked by _coords."""
+    return p if type(p) is GridPoint else _point(GridPoint, _coords(p))
+
+
+def _query(tilde: bool, name: str, doc: str):
+    """next_point (tilde False) or prev_point (tilde True).
+
+    The lookup runs over `table._views[tilde]` = (ue, uo, ve, vo), the even
+    and odd parity lists of u and v. Source view: u, v = h, k and
+    (c, d) = (y, x), and the cell translates to the successor; tilde view:
+    u, v = k, h and (c, d) = (x, y), and it translates to the predecessor.
+    A P cell lies in band (n, t) of n = 2m: c at offset rem from
+    u_n + t*u_{n+1} = ue[m] + t*uo[m], and d < v_{n+1} = vo[m]; it
+    translates to (rem, d + ve[m] + t*vo[m]). Any other cell is an A cell in
+    band (n, t) of n = 2m + 1: d at offset rem from vo[m] + t*ve[m + 1], and
+    c < u_{n+1} = ue[m + 1]; it translates to (c + uo[m] + t*ue[m + 1], rem).
+    Either way the offset rem stays on the band's axis and the other
+    coordinate moves by the band's translation. Cells with c < u_0 (tilde,
+    x = 0) are A cells; (0, 0) has no tilde rectangle. Only `_grow` grows.
+    """
+
+    def query(table: ConvergentTable, p: GridPoint) -> GridPoint:
+        if type(p) is GridPoint:
+            c, d = p
+        else:
+            c, d = _coords(p)
+        if not tilde:
+            c, d = d, c
+        ue, uo, ve, vo = table._views[tilde]
+        if c >= ue[0]:
+            if ue[-1] <= c:
+                _grow(table, ue, c)
+            m = bisect_right(ue, c) - 1
+            if d < vo[m]:
+                t, c = divmod(c - ue[m], uo[m])
+                d += ve[m] + t * vo[m]
+                return _point(GridPoint, (c, d) if tilde else (d, c))
+        elif not d:
+            raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
+        if not vo or vo[-1] <= d:
+            _grow(table, vo, d)
+        m = bisect_right(vo, d) - 1
+        if c >= ue[m + 1]:
+            raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
+        t, d = divmod(d - vo[m], ve[m + 1])
+        c += uo[m] + t * ue[m + 1]
+        return _point(GridPoint, (c, d) if tilde else (d, c))
+
+    query.__name__ = query.__qualname__ = name
+    query.__doc__ = doc
+    return query
+
+
+next_point = _query(False, "next_point", "Coordinates of the successor of p1^i * p2^j in sorted S.")
+prev_point = _query(True, "prev_point", "Coordinates of the predecessor; raises NoPredecessor at (0, 0).")
 
 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     """The n successors of p in sorted S: next_point iterated n times in one call."""
     n = _integer(n, "n")
     if n < 0:
-        raise InvalidArgument(f"step count must be non-negative, got {n}")
-    x, y = _coords(p)
-    # append-only, so rows added mid-walk show here
-    he, ho, ke, ko = table._h_even, table._h_odd, table._k_even, table._k_odd
+        raise InvalidArgument(f"step count must be non-negative, got {_show(n)}")
+    p = _grid_point(p)
     out = []
     for _ in range(n):
-        _, _, _, y, x = _rectangle(table, he, ho, ke, ko, y, x)
-        out.append(_point(GridPoint, (x, y)))
+        p = next_point(table, p)
+        out.append(p)
     return out
-
-
-def prev_point(table: ConvergentTable, p: GridPoint) -> GridPoint:
-    """Coordinates of the predecessor; raises NoPredecessor at (0, 0)."""
-    try:
-        x, y = p
-    except (TypeError, ValueError):
-        x, y = _coords(p)
-    if type(x) is not int or type(y) is not int or x < 0 or y < 0 or not isinstance(p, tuple):
-        x, y = _coords(p)
-    _, _, _, x, y = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
-    return _point(GridPoint, (x, y))
 
 
 def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
@@ -88,7 +146,7 @@ def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
     budget = pair.bit_budget
     # log2(p) >= 1, so this also keeps exponents too large for a float out of the estimate.
     if i > budget or j > budget:
-        raise BudgetExceeded(f"value at {(i, j)} has an exponent above the bit budget {budget}")
+        raise BudgetExceeded(f"value at ({_show(i)}, {_show(j)}) has an exponent above the bit budget {budget}")
     lp1, lp2 = pair._log2
     bits = i * lp1 + j * lp2
     if bits > budget:

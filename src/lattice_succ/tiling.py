@@ -10,13 +10,14 @@ covered by the same rectangles, so each run is painted and checked once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import islice
 from typing import NamedTuple
 
-from .cf_engine import ConvergentTable, _bands, _rectangle
+from .cf_engine import ConvergentTable, _bands
 from .core_arith import InvalidArgument, _integer
-from .successor import GridPoint, _coords, next_point, value
+from .successor import GridPoint, _grid_point, next_point, prev_point, value
 
 _record = tuple.__new__  # _record(Rectangle, fields) skips the Python-level NamedTuple __new__
 
@@ -79,21 +80,36 @@ def _band_rectangle(table: ConvergentTable, family: str, n: int, t: int, start: 
     return _record(Rectangle, fields)
 
 
+def _translated_band(table: ConvergentTable, dx: int, dy: int, tilde: bool) -> Rectangle:
+    """The rectangle of the band whose translation is (dx, dy), in the source or the tilde partition.
+
+    A P band (n even) moves by (k, -h) for its mediant h/k, an A band (n odd)
+    by (-k, h). The mediant k = k_n + t*k_{n+1} lies below k_{n+2}, so one
+    bisect of the k list of n's parity gives n, and t follows. A source P
+    band runs along y from h, an A band along x from k; tilde swaps them.
+    """
+    if dx > 0:
+        family, h, k, ks, widths, parity = "P", -dy, dx, table._k_even, table._k_odd, 0
+    else:
+        family, h, k, ks, widths, parity = "A", dy, -dx, table._k_odd, table._k_even, 1
+    m = bisect_right(ks, k) - 1
+    t = (k - ks[m]) // widths[m + parity]
+    along_x = (family == "A") != tilde
+    return _band_rectangle(table, family + "~" * tilde, 2 * m + parity, t, k if along_x else h, along_x)
+
+
 def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The source rectangle ("A" or "P") holding p, as `rectangles_in_window` reports it."""
-    x, y = _coords(p)
-    family, m, t, c, d = _rectangle(table, table._h_even, table._h_odd, table._k_even, table._k_odd, y, x)
-    # The translation keeps the offset from the band's start: c for a P cell, d for an A cell.
-    start = y - c if family == "P" else x - d
-    return _band_rectangle(table, family, 2 * m + (family == "A"), t, start, family == "A")
+    p = _grid_point(p)
+    q = next_point(table, p)
+    return _translated_band(table, q.i - p.i, q.j - p.j, False)
 
 
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The translated rectangle ("A~" or "P~") holding p != (0, 0), as `rectangles_in_window` reports it."""
-    x, y = _coords(p)
-    family, m, t, c, d = _rectangle(table, table._k_even, table._k_odd, table._h_even, table._h_odd, x, y)
-    start = x - c if family == "P" else y - d
-    return _band_rectangle(table, family + "~", 2 * m + (family == "A"), t, start, family == "P")
+    p = _grid_point(p)
+    q = prev_point(table, p)
+    return _translated_band(table, p.i - q.i, p.j - q.j, True)
 
 
 def rectangles_in_window(

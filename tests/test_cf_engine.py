@@ -17,13 +17,13 @@ from lattice_succ import (
     IndexBeyondTable,
     NonIntegerArgument,
     RationalLogRatio,
-    cf_engine,
     compare_fraction,
     core_arith,
     locate,
     locate_tilde,
     next_point,
     prev_point,
+    successor,
     validate_pair,
     walk,
 )
@@ -456,10 +456,11 @@ class TestRememberedWall:
     def test_extension_between_depth_read_and_wall_read(self, monkeypatch, seam):
         # The race above, forced: another extension runs to the wall at the
         # seam, after a read of the table and before the locked re-read. _grow is
-        # entered after _rectangle's read of the last entry of a parity list;
-        # on a fresh table the first acquisition of the table lock is _grow's,
-        # after that read and before its locked re-read of the list. Neither
-        # seam holds the table lock, so the competing extension can take it.
+        # entered after the query's read of the last entry of a parity list (the
+        # queries call it by successor's binding); on a fresh table the first
+        # acquisition of the table lock is _grow's, after that read and before its
+        # locked re-read of the list. Neither seam holds the table lock, so the
+        # competing extension can take it.
         pair = validate_pair(2, 3, bit_budget=400)
         reference = ConvergentTable(pair)
         _, _, depth = _hit_wall(reference)
@@ -481,15 +482,15 @@ class TestRememberedWall:
                             table.extend_to(depth + 1)
 
                 if seam == "_grow":
-                    real = cf_engine._grow
+                    real = successor._grow
 
                     def interleaved(*args):
                         compete()
                         return real(*args)
 
-                    monkeypatch.setattr(cf_engine, "_grow", interleaved)
+                    monkeypatch.setattr(successor, "_grow", interleaved)
                     got = query(table, p)
-                    monkeypatch.setattr(cf_engine, "_grow", real)
+                    monkeypatch.setattr(successor, "_grow", real)
                 else:
 
                     class Interleaved:

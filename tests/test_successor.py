@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_succ import (
+    GREATER,
+    LESS,
     AffineForm,
     BudgetExceeded,
     ConvergentTable,
@@ -58,7 +60,9 @@ class TestLocate:
 
     def test_rejects_negative(self, table23):
         with pytest.raises(ValueError):
-            locate(table23, GridPoint(-1, 0))
+            locate(table23, (-1, 0))
+        with pytest.raises(ValueError):
+            GridPoint(-1, 0)
 
     def test_origin_has_no_tilde_rectangle(self, table23):
         with pytest.raises(NoPredecessor):
@@ -67,9 +71,13 @@ class TestLocate:
     @pytest.mark.parametrize("fn", [locate, locate_tilde, next_point, prev_point])
     def test_rejects_float_coordinates(self, table23, fn):
         with pytest.raises(TypeError):
-            fn(table23, GridPoint(1.5, 2))
+            fn(table23, (1.5, 2))
         with pytest.raises(TypeError):
-            fn(table23, GridPoint(2, 2.0))
+            fn(table23, (2, 2.0))
+        with pytest.raises(TypeError):
+            GridPoint(1.5, 2)
+        with pytest.raises(TypeError):
+            GridPoint(2, 2.0)
 
     def test_accepts_index_objects(self, table23):
         class Index:
@@ -80,9 +88,14 @@ class TestLocate:
                 return self.n
 
         p = GridPoint(Index(3), Index(2))
+        assert type(p.i) is int and type(p.j) is int
         assert next_point(table23, p) == GridPoint(0, 4)
         assert prev_point(table23, GridPoint(Index(0), Index(4))) == GridPoint(3, 2)
         assert locate(table23, p) == Rectangle("A", 2, 0, 3, 10, 0, 4)
+        # The same coordinates in a plain tuple go through the queries' own check.
+        assert next_point(table23, (Index(3), Index(2))) == GridPoint(0, 4)
+        assert prev_point(table23, (Index(0), Index(4))) == GridPoint(3, 2)
+        assert locate(table23, (Index(3), Index(2))) == Rectangle("A", 2, 0, 3, 10, 0, 4)
 
     @given(args=pair_args, p=points)
     @settings(max_examples=120)
@@ -197,9 +210,13 @@ class TestWalk:
         with pytest.raises(ValueError):
             walk(table23, GridPoint(0, 0), -1)
         with pytest.raises(ValueError):
-            walk(table23, GridPoint(-1, 0), 1)
+            walk(table23, (-1, 0), 1)
         with pytest.raises(TypeError):
-            walk(table23, GridPoint(1.5, 2), 1)
+            walk(table23, (1.5, 2), 1)
+        with pytest.raises(ValueError):
+            GridPoint(-1, 0)
+        with pytest.raises(TypeError):
+            GridPoint(1.5, 2)
 
 
 class TestPrev:
@@ -329,7 +346,9 @@ class TestValue:
         with pytest.raises(BudgetExceeded):
             value(pair, GridPoint(200, 0))
 
-    @pytest.mark.parametrize("p", [GridPoint(10**400, 0), GridPoint(0, 10**400), GridPoint(3, 10**400)])
+    @pytest.mark.parametrize(
+        "p", [GridPoint(10**400, 0), GridPoint(0, 10**400), GridPoint(3, 10**400), GridPoint(10**5000, 0)]
+    )
     def test_huge_exponent_is_budget_exceeded_not_overflow(self, pair23, p):
         with pytest.raises(BudgetExceeded, match="exponent above the bit budget"):
             value(pair23, p)
@@ -344,12 +363,14 @@ _table23 = table_for(2, 3)
     "fn,args",
     [
         (walk, (_table23, GridPoint(3, 2), 2.0)),
-        (next_point, (_table23, GridPoint(2, 2.0))),
-        (prev_point, (_table23, GridPoint(1.5, 2))),
-        (value, (_pair23, GridPoint(0, 40.0))),
+        # A GridPoint refuses these coordinates itself (test_grid_point_refuses_what_the_queries_refuse),
+        # so the queries get them as plain tuples; the ids keep the GridPoint spelling they had.
+        pytest.param(next_point, (_table23, (2, 2.0)), id="next_point-(GridPoint(i=2, j=2.0),)"),
+        pytest.param(prev_point, (_table23, (1.5, 2)), id="prev_point-(GridPoint(i=1.5, j=2),)"),
+        pytest.param(value, (_pair23, (0, 40.0)), id="value-(GridPoint(i=0, j=40.0),)"),
         (enumerate_sorted, (_pair23, 2.0)),
-        (naive_next, (_pair23, GridPoint(2.5, 1), "affine")),
-        (naive_next, (_pair23, GridPoint(2.5, 1), "value")),
+        pytest.param(naive_next, (_pair23, (2.5, 1), "affine"), id="naive_next-(GridPoint(i=2.5, j=1), 'affine')"),
+        pytest.param(naive_next, (_pair23, (2.5, 1), "value"), id="naive_next-(GridPoint(i=2.5, j=1), 'value')"),
         (ConvergentTable.extend_to, (_table23, 2.5)),
         (ConvergentTable.extend_until, (_table23, 2.5)),
         (ConvergentTable.extend_until, (_table23, "x")),
@@ -373,7 +394,7 @@ def test_non_integer_arguments_are_typed(fn, args):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: next_point(_table23, GridPoint(-1, 0)),
+        lambda: next_point(_table23, (-1, 0)),
         lambda: prev_point(_table23, (0, -1)),
         lambda: walk(_table23, GridPoint(0, 0), -1),
         lambda: _table23.extend_until(10, "x", 1),
@@ -388,11 +409,13 @@ def test_non_integer_arguments_are_typed(fn, args):
         lambda: f(_pair23, 0),
         lambda: SortedStream(_pair23, key="size"),
         lambda: enumerate_sorted(_pair23, 0),
+        lambda: GridPoint(-1, 0),
     ],
     ids=[
         "negative_point", "negative_point_prev", "walk_negative_count", "extend_until_seq",
         "extend_until_parity", "window", "partition_window", "gap_family", "gap_level",
         "record_scan_N", "predicted_N", "fraction", "f_n", "stream_key", "enumerate_count",
+        "grid_point",
     ],
 )
 def test_out_of_range_arguments_are_typed(call):
@@ -464,3 +487,108 @@ def test_pairs_of_integers_in_any_sequence_are_points(p):
     q = (int(p[0]), int(p[1]))
     assert next_point(_table23, p) == next_point(_table23, q)
     assert prev_point(_table23, p) == prev_point(_table23, q)
+
+
+@pytest.mark.parametrize(
+    "p", [(1.5, 2), (2, 2.0), (-1, 0), (0, 40.0), (2.5, 1), (0, -3), ("1", 2), (-10**5000, 0)],
+    ids=["1.5,2", "2,2.0", "-1,0", "0,40.0", "2.5,1", "0,-3", "'1',2", "-10**5000,0"],
+)
+def test_grid_point_refuses_what_the_queries_refuse(p):
+    # Same exception type and message from the constructor and from a query given the plain tuple.
+    with pytest.raises(LatticeError) as built:
+        GridPoint(*p)
+    for query in (next_point, prev_point):
+        with pytest.raises(LatticeError) as asked:
+            query(_table23, p)
+        assert (type(asked.value), str(asked.value)) == (type(built.value), str(built.value))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: GridPoint._make([p[0], -1]),
+        lambda p: p._replace(j=-1),
+        lambda p: p._replace(i=2.5),
+        lambda p: GridPoint(i=-1, j=p[1]),
+    ],
+    ids=["_make", "_replace_negative", "_replace_float", "keywords"],
+)
+def test_every_grid_point_constructor_checks(build):
+    with pytest.raises(LatticeError):
+        build(GridPoint(3, 2))
+
+
+def test_grid_point_round_trips_through_pickle_and_copy():
+    import copy
+    import pickle
+
+    p = GridPoint(3, 10**400)
+    copies = [copy.copy(p), copy.deepcopy(p), p._replace(), GridPoint._make(p)]
+    copies += [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for q in copies:
+        assert type(q) is GridPoint and q == p and (q.i, q.j) == (3, 10**400)
+    assert GridPoint(True, 2) == (1, 2) and type(GridPoint(True, 2).i) is int
+
+
+def test_grid_point_subclass_goes_through_the_check():
+    # Only an exact GridPoint is taken as checked; a subclass is a tuple like any other.
+    class Point(GridPoint):
+        __slots__ = ()
+
+    bad = tuple.__new__(Point, (-1, 0))
+    with pytest.raises(InvalidArgument):
+        next_point(_table23, bad)
+    assert next_point(_table23, Point(3, 2)) == GridPoint(0, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair: f(pair, -10**5000),
+        lambda pair: enumerate_sorted(pair, -10**5000),
+        lambda pair: GridPoint(-10**5000, 0),
+        lambda pair: next_point(ConvergentTable(pair), (-10**5000, 0)),
+        lambda pair: walk(ConvergentTable(pair), (0, 0), -10**5000),
+        lambda pair: compare_fraction(pair, -10**5000, 1),
+    ],
+    ids=["f", "enumerate_sorted", "GridPoint", "next_point", "walk", "compare_fraction"],
+)
+def test_huge_int_in_a_message_is_named_by_bit_length(call):
+    # Past the interpreter's int-to-str limit (4300 digits); the message shows the bit length.
+    with pytest.raises(InvalidArgument, match=r"-<16610-bit integer>"):
+        call(_pair23)
+
+
+def test_repr_of_a_pair_with_a_huge_generator():
+    assert repr(validate_pair(3, 2**20000 + 1)) == "GeneratorPair(p1=3, p2=<20001-bit integer>, bit_budget=1000000)"
+    assert repr(_pair23) == "GeneratorPair(p1=2, p2=3, bit_budget=1000000)"
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_note_adjfact_translation_is_the_band_mediant(p1, p2):
+    # Theorem FactRectangles with Note AdjFact: the successor of p is p*p1^dx*p2^dy,
+    # with (dx, dy) = (k, -h) for an even-index mediant h/k (below alpha) and
+    # (-k, h) for an odd-index one (above alpha); the tiling's rectangle names the band.
+    W = H = 200
+    pair = validate_pair(p1, p2)
+    table = ConvergentTable(pair)
+    bands = ConvergentTable(pair)  # mediants read from a second table, apart from the queries'
+    for tilde in (False, True):
+        lookup = locate_tilde if tilde else locate
+        for r in rectangles_in_window(ConvergentTable(pair), W, H, tilde=tilde):
+            n = 2 * r.level - r.family.startswith("A")
+            bands.extend_to(n + 1)
+            h = bands.h(n) + r.band * bands.h(n + 1)
+            k = bands.k(n) + r.band * bands.k(n + 1)
+            assert compare_fraction(pair, h, k) == (GREATER if n % 2 else LESS)
+            dx, dy = (-k, h) if n % 2 else (k, -h)
+            for x in range(max(r.x_min, 0), min(r.x_max + 1, W)):
+                for y in range(max(r.y_min, 0), min(r.y_max + 1, H)):
+                    p = GridPoint(x, y)
+                    assert lookup(table, p) == r
+                    if tilde:  # p is the image of its predecessor under the band's translation
+                        q = prev_point(table, p)
+                        assert (x - q.i, y - q.j) == (dx, dy) and next_point(table, q) == p
+                    else:
+                        q = next_point(table, p)
+                        assert (q.i - x, q.j - y) == (dx, dy) and prev_point(table, q) == p
