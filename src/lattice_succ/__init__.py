@@ -3,7 +3,8 @@
 The names below are re-exported lazily (PEP 562): `import lattice_succ` loads
 no submodule, and a name's submodule is imported the first time the name is
 used. A query therefore loads only `core_arith`, `cf_engine` and `successor`,
-not the verifiers in `tiling`, `sequences` and `oracle`.
+not the verifiers in `tiling`, `sequences` and `oracle`; `GridPoint` and
+`value` load only `core_arith`.
 """
 
 from importlib import import_module as _import_module
@@ -14,17 +15,16 @@ _EXPORTS = {
     "cf_engine": ("ConvergentTable", "IndexBeyondTable"),
     "core_arith": (
         "DEFAULT_BIT_BUDGET", "EQUAL", "GREATER", "LESS", "AffineForm", "BudgetExceeded",
-        "GeneratorPair", "InvalidArgument", "LatticeError", "NonIntegerArgument", "OrderViolation",
-        "RationalLogRatio", "compare_affine", "compare_fraction", "f", "g", "validate_pair",
+        "GeneratorPair", "GridPoint", "InvalidArgument", "LatticeError", "NonIntegerArgument",
+        "OrderViolation", "RationalLogRatio", "compare_affine", "compare_fraction", "f", "g",
+        "validate_pair", "value",
     ),
     "oracle": ("SortedStream", "enumerate_sorted", "naive_next"),
     "sequences": (
         "minimal_fractional_subsequences", "predicted_record_indices",
         "verify_fg_at_convergents", "verify_monotone_fractional_chains",
     ),
-    "successor": (
-        "GridPoint", "NoPredecessor", "next_point", "prev_point", "value", "walk",
-    ),
+    "successor": ("NoPredecessor", "next_point", "prev_point", "walk"),
     "tiling": (
         "GapWitness", "PartitionReport", "Rectangle", "large_gap", "locate", "locate_tilde",
         "rectangles_in_window", "verify_partition",

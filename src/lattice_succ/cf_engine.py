@@ -32,6 +32,7 @@ from .core_arith import (
     NonIntegerArgument,
     _integer,
     _ln,
+    _show,
 )
 
 
@@ -99,7 +100,7 @@ class ConvergentTable:
 
     def _check_index(self, i: int) -> int:
         if i < 0 or i >= len(self._a):
-            raise IndexBeyondTable(f"index {i} beyond table depth {len(self._a) - 1}")
+            raise IndexBeyondTable(f"index {_show(i)} beyond table depth {len(self._a) - 1}")
         return i
 
     def _hk(self, i: int) -> tuple[int, int]:
@@ -131,7 +132,7 @@ class ConvergentTable:
         if seq not in ("h", "k"):
             raise InvalidArgument(f"seq must be 'h' or 'k', got {seq!r}")
         if parity not in (0, 1):
-            raise InvalidArgument(f"parity must be 0 or 1, got {parity}")
+            raise InvalidArgument(f"parity must be 0 or 1, got {_show(parity)}")
         lists = (self._h_even, self._h_odd) if seq == "h" else (self._k_even, self._k_odd)
         _grow(self, lists[parity], above)
         return self

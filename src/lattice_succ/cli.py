@@ -9,8 +9,8 @@ import sys
 from functools import lru_cache
 
 from .cf_engine import ConvergentTable
-from .core_arith import DEFAULT_BIT_BUDGET, _SPLIT_BITS, LatticeError, validate_pair
-from .successor import GridPoint, next_point, prev_point, value, walk
+from .core_arith import DEFAULT_BIT_BUDGET, _SPLIT_BITS, GridPoint, LatticeError, validate_pair, value
+from .successor import next_point, prev_point, walk
 
 # The handlers of enum, tile, gaps and verify import the verifier modules
 # themselves, so `next`, `prev` and `cf` load only the query path.

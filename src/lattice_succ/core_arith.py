@@ -12,12 +12,16 @@ the sign.
 
 `GeneratorPair` checks the paper's hypothesis when it is built, so alpha is
 irrational and `_affine_sign`'s tie check is only a safety check.
+
+Points live here too, for queries and verifiers alike: `GridPoint`, `_grid_point`
+and `value` with `_check_value_budget`, the one rule for p1**i * p2**j's bits.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -318,3 +322,59 @@ def _f_search(pair: GeneratorPair, n: int) -> int:
 def g(pair: GeneratorPair, n: int) -> int:
     """Lower sequence g(n) = floor(n/alpha) = f(n) - 1."""
     return f(pair, n) - 1
+
+
+class GridPoint(namedtuple("GridPoint", ("i", "j"))):
+    """Exponents (i, j) of p1^i * p2^j: two non-negative ints, checked when built.
+
+    A field without __index__ raises NonIntegerArgument and a negative one
+    InvalidArgument. `_make`, `_replace`, pickle and copy build through the
+    same check. It compares and hashes as the plain tuple (i, j).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int):
+        x, y = _integer(i, "i"), _integer(j, "j")
+        if x < 0 or y < 0:
+            raise InvalidArgument(f"grid point must be non-negative, got ({_show(x)}, {_show(y)})")
+        return tuple.__new__(cls, (x, y))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+_point = tuple.__new__  # _point(GridPoint, (i, j)) skips the check, for coordinates the engine built
+
+
+def _grid_point(p) -> GridPoint:
+    """p if it is a GridPoint, else the checked GridPoint of a tuple or list pair (NonIntegerArgument otherwise)."""
+    if type(p) is GridPoint:
+        return p
+    if not isinstance(p, (tuple, list)) or len(p) != 2:  # bytes, range and the like are not points
+        raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}")
+    return GridPoint(p[0], p[1])
+
+
+def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
+    """Refuse p1**i * p2**j with BudgetExceeded when it needs more bits than the budget."""
+    budget = pair.bit_budget
+    if i > budget or j > budget:  # log2(p) >= 1, so the value has more bits than the budget
+        raise BudgetExceeded(f"value at ({_show(i)}, {_show(j)}) has an exponent above the bit budget {_show(budget)}")
+    lp1, lp2 = pair._log2
+    shift = ((i | j | budget) >> 960).bit_length()  # as in _affine_sign: huge counts shift into float range
+    bits = (i >> shift) * lp1 + (j >> shift) * lp2  # bits of the value, over 2**shift
+    if bits > budget >> shift:
+        needs = _show(int(bits) << shift)
+        raise BudgetExceeded(f"value at ({_show(i)}, {_show(j)}) needs ~{needs} bits, budget is {_show(budget)}")
+
+
+def value(pair: GeneratorPair, p: GridPoint) -> int:
+    """Exact integer p1**i * p2**j."""
+    i, j = _grid_point(p)
+    _check_value_budget(pair, i, j)
+    return pair.p1**i * pair.p2**j

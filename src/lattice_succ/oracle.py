@@ -5,6 +5,7 @@ row is opened whenever a row head with p1-exponent 0 is emitted. This gives
 every element exactly once in increasing order with O(rows) memory. The
 batch `enumerate_sorted` merges the p1- and p2-multiples of the list it has
 built instead, so comparing the two checks one algorithm against another.
+It rests on `core_arith` alone and loads neither `cf_engine` nor `successor`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import heapq
 from collections.abc import Iterator
 from itertools import repeat
 
-from .core_arith import LESS, AffineForm, GeneratorPair, InvalidArgument, ZERO_FORM, _integer, _show, compare_affine
-from .successor import GridPoint, _check_value_budget, _coords, _point, value
+from .core_arith import (
+    LESS, ZERO_FORM, AffineForm, GeneratorPair, GridPoint, InvalidArgument, _check_value_budget,
+    _grid_point, _integer, _point, _show, compare_affine, value,
+)
 
 
 class _AffineKey:
@@ -111,14 +114,14 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
 def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:
     """Successor of p by fresh enumeration until value(p) is passed."""
     stream = SortedStream(pair, key)
-    i, j = _coords(p)
+    p = _grid_point(p)
     if key == "value":
         target = value(pair, p)
         for q in stream:
             if stream.last_value > target:
                 return q
     else:
-        target = _AffineKey(pair, i, j)
+        target = _AffineKey(pair, *p)
         for q in stream:
             if target < _AffineKey(pair, q.i, q.j):
                 return q

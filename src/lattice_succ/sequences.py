@@ -20,7 +20,9 @@ from .core_arith import (
     InternalConsistencyError,
     InvalidArgument,
     _affine_sign,
+    _check_value_budget,
     _integer,
+    _show,
     f,
 )
 
@@ -164,13 +166,14 @@ def minimal_fractional_subsequences(
     """
     N = _integer(N, "N")
     if N < 1:
-        raise InvalidArgument(f"N must be positive, got {N}")
+        raise InvalidArgument(f"N must be positive, got {_show(N)}")
     pair = table.pair
-    p2, budget = pair.p2, pair.bit_budget
+    try:
+        _check_value_budget(pair, 0, N + 1)
+    except BudgetExceeded:
+        raise BudgetExceeded(f"record scan to N = {_show(N)} builds {_show(pair.p2)}**{_show(N + 1)}, "
+                             f"more bits than the budget {_show(pair.bit_budget)}") from None
     lp1, lp2 = pair._log2
-    # log2(p2) > 1, so the first test also keeps an N too large for a float out of the second.
-    if N + 1 > budget or (N + 1) * lp2 > budget:
-        raise BudgetExceeded(f"record scan to N = {N} builds {p2}**{N + 1}, more bits than the budget {budget}")
     f_top = N * lp2 / lp1 + 2  # above f(N) = ceil(N*lp2/lp1)
     margin = (
         (f_top * lp1 + N * lp2) * _FLOAT_REL_MARGIN
@@ -224,7 +227,7 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
     """
     N = _integer(N, "N")
     if N < 1:
-        raise InvalidArgument(f"N must be positive, got {N}")
+        raise InvalidArgument(f"N must be positive, got {_show(N)}")
     n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]
     m_chain = [h for _, _, h, _ in _bands(table, "h", 1, N + 1)]
     return n_chain, m_chain

@@ -9,70 +9,19 @@ queries from one cell lookup, which runs in the query's own frame:
 `next_point` looks the cell (y, x) up over the table's source view (h, k),
 `prev_point` the cell (x, y) over its tilde view (k, h).
 
-A `GridPoint` is checked when it is built, so a query takes one as it is;
-any other point goes through `_coords` and its errors.
+A `GridPoint` is checked when it is built, so a query takes one as it is and sends
+any other point through `_grid_point`; both live in `core_arith` with `value`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 
 from .cf_engine import ConvergentTable, _grow
-from .core_arith import (
-    BudgetExceeded,
-    GeneratorPair,
-    InternalConsistencyError,
-    InvalidArgument,
-    NoPredecessor,
-    NonIntegerArgument,
-    _integer,
-    _show,
+from .core_arith import (  # GridPoint and value stay bound here for pickles and imports naming this module
+    GridPoint, InternalConsistencyError, InvalidArgument, NoPredecessor, _check_value_budget,
+    _grid_point, _integer, _point, _show, value,
 )
-
-
-def _checked(i, j) -> tuple[int, int]:
-    """(i, j) as non-negative ints; the error names the first bad coordinate."""
-    x, y = _integer(i, "i"), _integer(j, "j")
-    if x < 0 or y < 0:
-        raise InvalidArgument(f"grid point must be non-negative, got ({_show(x)}, {_show(y)})")
-    return x, y
-
-
-class GridPoint(namedtuple("GridPoint", ("i", "j"))):
-    """Exponents (i, j) of p1^i * p2^j: two non-negative ints, checked when built.
-
-    A field without __index__ raises NonIntegerArgument and a negative one
-    InvalidArgument. `_make`, `_replace`, pickle and copy build through the
-    same check. It compares and hashes as the plain tuple (i, j).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, i: int, j: int):
-        return tuple.__new__(cls, _checked(i, j))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-
-_point = tuple.__new__  # _point(GridPoint, (i, j)) skips the check, for coordinates the engine built
-
-
-def _coords(p) -> tuple[int, int]:
-    """Integer coordinates of p, a tuple or list pair of integers; anything else raises NonIntegerArgument."""
-    if not isinstance(p, (tuple, list)) or len(p) != 2:  # bytes, range and the like are not points
-        raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}")
-    return _checked(p[0], p[1])
-
-
-def _grid_point(p) -> GridPoint:
-    """p itself if it is a GridPoint, else the GridPoint of its coordinates checked by _coords."""
-    return p if type(p) is GridPoint else _point(GridPoint, _coords(p))
 
 
 def _query(tilde: bool, name: str, doc: str):
@@ -96,7 +45,7 @@ def _query(tilde: bool, name: str, doc: str):
         if type(p) is GridPoint:
             c, d = p
         else:
-            c, d = _coords(p)
+            c, d = _grid_point(p)
         if not tilde:
             c, d = d, c
         ue, uo, ve, vo = table._views[tilde]
@@ -139,22 +88,3 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
         p = next_point(table, p)
         out.append(p)
     return out
-
-
-def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
-    """Refuse p1**i * p2**j with BudgetExceeded when it needs more bits than the budget."""
-    budget = pair.bit_budget
-    # log2(p) >= 1, so this also keeps exponents too large for a float out of the estimate.
-    if i > budget or j > budget:
-        raise BudgetExceeded(f"value at ({_show(i)}, {_show(j)}) has an exponent above the bit budget {budget}")
-    lp1, lp2 = pair._log2
-    bits = i * lp1 + j * lp2
-    if bits > budget:
-        raise BudgetExceeded(f"value at {(i, j)} needs ~{int(bits)} bits, budget is {budget}")
-
-
-def value(pair: GeneratorPair, p: GridPoint) -> int:
-    """Exact integer p1**i * p2**j."""
-    i, j = _coords(p)
-    _check_value_budget(pair, i, j)
-    return pair.p1**i * pair.p2**j

@@ -16,8 +16,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _bands
-from .core_arith import InvalidArgument, _integer
-from .successor import GridPoint, _grid_point, next_point, prev_point, value
+from .core_arith import GridPoint, InvalidArgument, _grid_point, _integer, _show, value
+from .successor import next_point, prev_point
 
 _record = tuple.__new__  # _record(Rectangle, fields) skips the Python-level NamedTuple __new__
 
@@ -124,7 +124,7 @@ def rectangles_in_window(
     """
     W, H = _integer(W, "W"), _integer(H, "H")
     if W < 1 or H < 1:
-        raise InvalidArgument(f"window must be positive, got {W}x{H}")
+        raise InvalidArgument(f"window must be positive, got {_show(W)}x{_show(H)}")
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     return [
         _band_rectangle(table, family, n, t, k if seq == "k" else h, seq == "k")

@@ -3,10 +3,15 @@
 `import lattice_succ` loads no submodule. A `next_point`/`prev_point` query, or
 `lattice-succ next`, loads `core_arith`, `cf_engine` and `successor` but not the
 verifiers (`tiling`, `sequences`, `oracle`) nor `dataclasses`, `inspect` or
-`heapq`. The checks run in a fresh interpreter started with -S, so that only
-the library's own imports are counted, not those of site hooks.
+`heapq`. The oracle is the converse: it rests on `core_arith` alone, so checking
+the engine against it loads neither `cf_engine` nor `successor`, and
+`GridPoint` and `value` load only `core_arith`. The checks run in a fresh
+interpreter started with -S, so that only the library's own imports are
+counted, not those of site hooks. GridPoints pickled when `successor` defined
+the type still load.
 """
 
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -24,23 +29,23 @@ EXPORTED = {
     "cf_engine": ["ConvergentTable", "IndexBeyondTable"],
     "core_arith": [
         "DEFAULT_BIT_BUDGET", "EQUAL", "GREATER", "LESS", "AffineForm", "BudgetExceeded",
-        "GeneratorPair", "InvalidArgument", "LatticeError", "NonIntegerArgument", "OrderViolation",
-        "RationalLogRatio", "compare_affine", "compare_fraction", "f", "g", "validate_pair",
+        "GeneratorPair", "GridPoint", "InvalidArgument", "LatticeError", "NonIntegerArgument",
+        "OrderViolation", "RationalLogRatio", "compare_affine", "compare_fraction", "f", "g",
+        "validate_pair", "value",
     ],
     "oracle": ["SortedStream", "enumerate_sorted", "naive_next"],
     "sequences": [
         "minimal_fractional_subsequences", "predicted_record_indices",
         "verify_fg_at_convergents", "verify_monotone_fractional_chains",
     ],
-    "successor": [
-        "GridPoint", "NoPredecessor", "next_point", "prev_point", "value", "walk",
-    ],
+    "successor": ["NoPredecessor", "next_point", "prev_point", "walk"],
     "tiling": [
         "GapWitness", "PartitionReport", "Rectangle", "large_gap", "locate", "locate_tilde",
         "rectangles_in_window", "verify_partition",
     ],
 }
 ALL_NAMES = sorted(name for names in EXPORTED.values() for name in names)
+SUBMODULES = ("lattice_succ",) + tuple(f"lattice_succ.{m}" for m in (*EXPORTED, "cli", "svg"))
 
 
 def _loaded_after(code: str, watched) -> list[str]:
@@ -77,6 +82,52 @@ def test_cli_next_loads_no_verifier():
         "assert out.getvalue() == '(7,11) 22674816\\n'\n"
     )
     assert _loaded_after(code, VERIFIERS + ("dataclasses",)) == []
+
+
+def test_oracle_loads_neither_the_engine_nor_the_queries():
+    code = (
+        "from itertools import islice\n"
+        "import lattice_succ.oracle as oracle\n"
+        "from lattice_succ.core_arith import validate_pair\n"
+        "pair = validate_pair(2, 3)\n"
+        "elems = oracle.enumerate_sorted(pair, 50)\n"
+        "for key in ('value', 'affine'):\n"
+        "    assert list(islice(oracle.SortedStream(pair, key), 50)) == [p for p, _ in elems]\n"
+        "    assert oracle.naive_next(pair, (18, 4), key) == (7, 11)\n"
+        "    assert oracle.naive_next(pair, elems[20][0], key) == elems[21][0]\n"
+    )
+    assert _loaded_after(code, SUBMODULES) == ["lattice_succ", "lattice_succ.core_arith", "lattice_succ.oracle"]
+
+
+def test_grid_point_and_value_load_only_core_arith():
+    code = (
+        "from lattice_succ import GridPoint, value, validate_pair\n"
+        "assert value(validate_pair(2, 3), GridPoint(18, 4)) == 21233664\n"
+        "assert GridPoint.__module__ == 'lattice_succ.core_arith'\n"
+    )
+    assert _loaded_after(code, SUBMODULES) == ["lattice_succ", "lattice_succ.core_arith"]
+
+
+# pickle.dumps(GridPoint(18, 4), protocol) for protocols 0 to 5, made when the
+# type was defined in lattice_succ.successor; the bytes name that module.
+PICKLED_UNDER_SUCCESSOR = [
+    b"clattice_succ.successor\nGridPoint\np0\n(I18\nI4\ntp1\nRp2\n.",
+    b"clattice_succ.successor\nGridPoint\nq\x00(K\x12K\x04tq\x01Rq\x02.",
+    b"\x80\x02clattice_succ.successor\nGridPoint\nq\x00K\x12K\x04\x86q\x01Rq\x02.",
+    b"\x80\x03clattice_succ.successor\nGridPoint\nq\x00K\x12K\x04\x86q\x01Rq\x02.",
+    b"\x80\x04\x950\x00\x00\x00\x00\x00\x00\x00\x8c\x16lattice_succ.successor\x94\x8c\tGridPoint"
+    b"\x94\x93\x94K\x12K\x04\x86\x94R\x94.",
+    b"\x80\x05\x950\x00\x00\x00\x00\x00\x00\x00\x8c\x16lattice_succ.successor\x94\x8c\tGridPoint"
+    b"\x94\x93\x94K\x12K\x04\x86\x94R\x94.",
+]
+
+
+@pytest.mark.parametrize("data", PICKLED_UNDER_SUCCESSOR, ids=[f"protocol{n}" for n in range(6)])
+def test_grid_point_pickled_under_successor_still_loads(data):
+    point = pickle.loads(data)
+    assert type(point) is lattice_succ.GridPoint and point == lattice_succ.GridPoint(18, 4)
+    assert lattice_succ.successor.GridPoint is lattice_succ.core_arith.GridPoint
+    assert pickle.loads(pickle.dumps(point)) == point
 
 
 def test_cli_verify_loads_the_verifiers():

@@ -12,6 +12,7 @@ from lattice_succ import (
     BudgetExceeded,
     ConvergentTable,
     GridPoint,
+    IndexBeyondTable,
     InvalidArgument,
     LatticeError,
     NoPredecessor,
@@ -38,6 +39,8 @@ from lattice_succ import (
     verify_partition,
     walk,
 )
+
+from lattice_succ.core_arith import _check_value_budget
 
 from conftest import PAIR_ARGS, table_for
 
@@ -483,7 +486,7 @@ def test_a_point_that_is_not_a_pair_is_named_whole(call, p):
 
 @pytest.mark.parametrize("p", [(3, 2), [3, 2], (True, 2), (3, False)], ids=repr)
 def test_pairs_of_integers_in_any_sequence_are_points(p):
-    # The fast path of next_point/prev_point takes exact ints; the rest goes through _coords.
+    # The fast path of next_point/prev_point takes exact ints; the rest goes through _grid_point.
     q = (int(p[0]), int(p[1]))
     assert next_point(_table23, p) == next_point(_table23, q)
     assert prev_point(_table23, p) == prev_point(_table23, q)
@@ -550,13 +553,71 @@ def test_grid_point_subclass_goes_through_the_check():
         lambda pair: next_point(ConvergentTable(pair), (-10**5000, 0)),
         lambda pair: walk(ConvergentTable(pair), (0, 0), -10**5000),
         lambda pair: compare_fraction(pair, -10**5000, 1),
+        lambda pair: ConvergentTable(pair).extend_until(10, "k", -10**5000),
+        lambda pair: minimal_fractional_subsequences(ConvergentTable(pair), -10**5000),
+        lambda pair: predicted_record_indices(ConvergentTable(pair), -10**5000),
+        lambda pair: rectangles_in_window(ConvergentTable(pair), -10**5000, 10),
+        lambda pair: verify_partition(ConvergentTable(pair), -10**5000, 10),
     ],
-    ids=["f", "enumerate_sorted", "GridPoint", "next_point", "walk", "compare_fraction"],
+    ids=[
+        "f", "enumerate_sorted", "GridPoint", "next_point", "walk", "compare_fraction", "extend_until_parity",
+        "minimal_fractional_subsequences", "predicted_record_indices", "rectangles_in_window", "verify_partition",
+    ],
 )
 def test_huge_int_in_a_message_is_named_by_bit_length(call):
     # Past the interpreter's int-to-str limit (4300 digits); the message shows the bit length.
     with pytest.raises(InvalidArgument, match=r"-<16610-bit integer>"):
         call(_pair23)
+
+
+@pytest.mark.parametrize("accessor", ["h", "k", "quotient"])
+def test_huge_index_beyond_the_table_is_named_by_bit_length(accessor):
+    with pytest.raises(IndexBeyondTable, match=r"^index <16610-bit integer> beyond table depth \d+$"):
+        getattr(ConvergentTable(_pair23), accessor)(10**5000)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: value(validate_pair(2, 3, bit_budget=10**5000), GridPoint(0, 10**5000)),
+            r"^value at \(0, <16610-bit integer>\) needs ~<16611-bit integer> bits, budget is <16610-bit integer>$",
+        ),
+        (
+            lambda: minimal_fractional_subsequences(ConvergentTable(validate_pair(2, 3, bit_budget=10**4400)), 10**5000),
+            r"^record scan to N = <16610-bit integer> builds 3\*\*<16610-bit integer>, "
+            r"more bits than the budget <14617-bit integer>$",
+        ),
+    ],
+    ids=["value", "record_scan"],
+)
+def test_huge_ints_in_a_budget_message_are_named_by_bit_length(call, message):
+    with pytest.raises(BudgetExceeded, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair: value(pair, GridPoint(0, 10**400)),
+        lambda pair: value(pair, (10**400 // 2, 10**400 // 2)),
+        lambda pair: minimal_fractional_subsequences(ConvergentTable(pair), 10**400 - 1),
+    ],
+    ids=["value", "value_both_exponents", "record_scan"],
+)
+def test_budget_rule_past_float_range_refuses_without_overflow(call):
+    # Every exponent is within the budget of 10**400 bits, but the value is not; no float holds them.
+    with pytest.raises(BudgetExceeded, match="bits"):
+        call(validate_pair(2, 3, bit_budget=10**400))
+
+
+def test_budget_rule_past_float_range_admits_what_fits():
+    # Only the rule is run: the values it admits are far too large to build.
+    pair = validate_pair(2, 3, bit_budget=10**400)
+    for i, j in [(10**400 * 99 // 100, 0), (0, 10**400 * 10 // 16), (10**400 // 3, 10**400 // 3)]:
+        assert _check_value_budget(pair, i, j) is None
+    with pytest.raises(BudgetExceeded, match="needs ~"):
+        _check_value_budget(pair, 0, 10**400 * 10 // 15)
 
 
 def test_repr_of_a_pair_with_a_huge_generator():
