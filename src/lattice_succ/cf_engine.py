@@ -99,6 +99,7 @@ class ConvergentTable:
         return self._hk(self._check_index(i))[1]
 
     def _check_index(self, i: int) -> int:
+        i = _integer(i, "index")
         if i < 0 or i >= len(self._a):
             raise IndexBeyondTable(f"index {_show(i)} beyond table depth {len(self._a) - 1}")
         return i

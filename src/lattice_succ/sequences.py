@@ -7,6 +7,8 @@ via the statements under test.
 
 from __future__ import annotations
 
+from math import inf
+
 from .cf_engine import ConvergentTable, _bands, _last
 from .core_arith import (
     EQUAL,
@@ -162,7 +164,7 @@ def minimal_fractional_subsequences(
     ordered as the true ones; closer ones go to `_affine_sign`.
 
     The exact fallbacks may still build powers below p2**(N+1), which the
-    bit budget must allow.
+    bit budget must allow. An N whose error bound is past float range is refused.
     """
     N = _integer(N, "N")
     if N < 1:
@@ -174,12 +176,14 @@ def minimal_fractional_subsequences(
         raise BudgetExceeded(f"record scan to N = {_show(N)} builds {_show(pair.p2)}**{_show(N + 1)}, "
                              f"more bits than the budget {_show(pair.bit_budget)}") from None
     lp1, lp2 = pair._log2
-    f_top = N * lp2 / lp1 + 2  # above f(N) = ceil(N*lp2/lp1)
-    margin = (
-        (f_top * lp1 + N * lp2) * _FLOAT_REL_MARGIN
-        + _FLOAT_ABS_MARGIN
-        + (N + f_top) * (lp1 + lp2) * 2**-53
-    )
+    try:
+        f_top = N * lp2 / lp1 + 2  # above f(N) = ceil(N*lp2/lp1)
+        span = (N + f_top) * (lp1 + lp2)  # at least f_top*lp1 + N*lp2
+    except OverflowError:  # no float holds N
+        span = inf
+    if span == inf:
+        raise InvalidArgument(f"record scan to N = {_show(N)} is past the float range of its error bound")
+    margin = (f_top * lp1 + N * lp2) * _FLOAT_REL_MARGIN + _FLOAT_ABS_MARGIN + span * 2**-53
     below, twice = -margin, 2 * margin
     n_records: list[int] = [1]
     m_records: list[int] = [1]

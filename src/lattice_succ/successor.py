@@ -7,7 +7,8 @@ every element onto its successor in sorted S; undoing the translation of the
 tilde rectangle holding a point gives its predecessor. `_query` builds both
 queries from one cell lookup, which runs in the query's own frame:
 `next_point` looks the cell (y, x) up over the table's source view (h, k),
-`prev_point` the cell (x, y) over its tilde view (k, h).
+`prev_point` the cell (x, y) over its tilde view (k, h). `walk` steps the
+source-view lookup in its own loop.
 
 A `GridPoint` is checked when it is built, so a query takes one as it is and sends
 any other point through `_grid_point`; both live in `core_arith` with `value`.
@@ -16,6 +17,7 @@ any other point through `_grid_point`; both live in `core_arith` with `value`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 
 from .cf_engine import ConvergentTable, _grow
 from .core_arith import (  # GridPoint and value stay bound here for pickles and imports naming this module
@@ -39,6 +41,8 @@ def _query(tilde: bool, name: str, doc: str):
     Either way the offset rem stays on the band's axis and the other
     coordinate moves by the band's translation. Cells with c < u_0 (tilde,
     x = 0) are A cells; (0, 0) has no tilde rectangle. Only `_grow` grows.
+    `walk` is the second reader of this layout: it runs the source-view
+    lookup in its own loop, so a change here must be made there too.
     """
 
     def query(table: ConvergentTable, p: GridPoint) -> GridPoint:
@@ -78,13 +82,35 @@ prev_point = _query(True, "prev_point", "Coordinates of the predecessor; raises 
 
 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
-    """The n successors of p in sorted S: next_point iterated n times in one call."""
+    """The n successors of p in sorted S: next_point iterated n times in one call.
+
+    The loop is `_query`'s source-view lookup on plain ints, with (c, d) =
+    (j, i). The parity lists grow in place, so it sees the rows `_grow`
+    appends mid-walk. c >= ue[0] = h_0 = 0 always holds, so the lookup's
+    branch for c < u_0, which only the tilde view takes, is left out. The
+    GridPoints are built in one pass at the end.
+    """
     n = _integer(n, "n")
     if n < 0:
         raise InvalidArgument(f"step count must be non-negative, got {_show(n)}")
-    p = _grid_point(p)
-    out = []
+    d, c = _grid_point(p)
+    ue, uo, ve, vo = table._views[False]
+    i_out, j_out = [], []
     for _ in range(n):
-        p = next_point(table, p)
-        out.append(p)
-    return out
+        if ue[-1] <= c:
+            _grow(table, ue, c)
+        m = bisect_right(ue, c) - 1
+        if d < vo[m]:
+            t, c = divmod(c - ue[m], uo[m])
+            d += ve[m] + t * vo[m]
+        else:
+            if not vo or vo[-1] <= d:
+                _grow(table, vo, d)
+            m = bisect_right(vo, d) - 1
+            if c >= ue[m + 1]:
+                raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
+            t, d = divmod(d - vo[m], ve[m + 1])
+            c += uo[m] + t * ue[m + 1]
+        i_out.append(d)
+        j_out.append(c)
+    return list(map(_point, repeat(GridPoint), zip(i_out, j_out)))

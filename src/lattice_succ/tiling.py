@@ -1,11 +1,16 @@
 """Rectangles of both partitions: point lookups, window enumeration, partition
 verification and gap witnesses.
 
-The partition verifier deliberately stays dumber than the theorem: it paints
-every rectangle onto the window and checks each cell is covered exactly once
-(the translated family leaves exactly the origin uncovered). The window is
-cut into runs of columns at the rectangles' x-edges; every column of a run is
-covered by the same rectangles, so each run is painted and checked once.
+The partition verifier deliberately stays dumber than the theorem: it checks
+that each window cell is covered exactly once (the translated family leaves
+exactly the origin uncovered), without using where the theorem puts the
+rectangles. The window is cut into runs of columns at the rectangles'
+x-edges; every column of a run is covered by the same rectangles. One sweep
+over the sorted edges keeps, for the current run, the sum of the covering
+rectangles' row masks and the sum of their heights. The popcount of a sum of
+masks equals the sum of their popcounts only when no two masks overlap, so a
+run whose mask sum is its expected mask and whose height sum is that mask's
+popcount covers each of its cells exactly once.
 """
 
 from __future__ import annotations
@@ -140,15 +145,20 @@ def verify_partition(
 
     For the tilde families the origin must be covered by none. The window is
     split into runs of columns at the clipped rectangles' x-edges (and, for
-    tilde, after the origin column). Each run is a bitmask over y: a cell
-    painted twice is recorded as doubly covered, and every run must end equal
-    to its expected mask. A wrong run is expanded into its cells, x then y
-    ascending, up to 20 violations.
+    tilde, after the origin column). Each clipped rectangle adds its y-mask
+    and its height at x0 and takes them off at x1, so a sweep over the sorted
+    edges holds each run's mask sum and height sum. A run is right iff its
+    mask sum is the expected mask and its height sum that mask's popcount:
+    the sum of popcounts exceeds the popcount of the sum whenever two masks
+    overlap. Only a wrong run is painted, a cell painted twice counting as
+    doubly covered, and expanded into its wrong cells, x then y ascending, up
+    to 20 violations.
     """
     W, H = _integer(W, "W"), _integer(H, "H")
     rects = rectangles_in_window(table, W, H, tilde)
     clipped = []
-    cuts = {0, 1, W} if tilde else {0, W}
+    masks = dict.fromkeys((0, 1, W) if tilde else (0, W), 0)  # x -> change of the run's mask sum
+    heights = masks.copy()  # x -> change of its height sum
     top = H - 1
     for _, _, _, x_min, x_max, y_min, y_max in rects:
         # Clipped to the window: columns x0 <= x < x1, rows y0 <= y <= y1.
@@ -157,24 +167,29 @@ def verify_partition(
         y0 = y_min if y_min > 0 else 0
         y1 = y_max if y_max < top else top
         if x0 < x1 and y0 <= y1:
-            clipped.append((x0, x1, ((1 << (y1 - y0 + 1)) - 1) << y0))
-            cuts.add(x0)
-            cuts.add(x1)
-    edges = sorted(cuts)
-    run = {x: n for n, x in enumerate(edges)}
-    painted = [0] * (len(edges) - 1)
-    doubled = painted.copy()
-    for x0, x1, mask in clipped:
-        for n in range(run[x0], run[x1]):
-            doubled[n] |= painted[n] & mask
-            painted[n] |= mask
+            rows = y1 - y0 + 1
+            mask = ((1 << rows) - 1) << y0
+            clipped.append((x0, x1, mask))
+            masks[x0] = masks.get(x0, 0) + mask
+            masks[x1] = masks.get(x1, 0) - mask
+            heights[x0] = heights.get(x0, 0) + rows
+            heights[x1] = heights.get(x1, 0) - rows
+    edges = sorted(masks)
     full = (1 << H) - 1
     bad: list[tuple[int, int]] = []
+    summed = height = 0
     for n in range(len(edges) - 1):
-        expected = full & ~1 if tilde and n == 0 else full
-        wrong = (painted[n] ^ expected) | doubled[n]
-        if wrong:
-            bad += islice(_cells(edges[n], edges[n + 1], wrong), 20 - len(bad))
+        x = edges[n]
+        summed += masks[x]
+        height += heights[x]
+        expected, count = (full - 1, H - 1) if tilde and n == 0 else (full, H)
+        if summed != expected or height != count:
+            painted = doubled = 0
+            for x0, x1, mask in clipped:
+                if x0 <= x < x1:
+                    doubled |= painted & mask
+                    painted |= mask
+            bad += islice(_cells(x, edges[n + 1], (painted ^ expected) | doubled), 20 - len(bad))
             if len(bad) == 20:
                 break
     violations = [

@@ -40,9 +40,10 @@ from lattice_succ import (
     walk,
 )
 
+from lattice_succ import successor
 from lattice_succ.core_arith import _check_value_budget
 
-from conftest import PAIR_ARGS, table_for
+from conftest import PAIR_ARGS, pair_for, table_for
 
 points = st.tuples(st.integers(0, 60), st.integers(0, 60)).map(lambda t: GridPoint(*t))
 pair_args = st.sampled_from(PAIR_ARGS)
@@ -205,6 +206,27 @@ class TestWalk:
         for _ in range(20):
             p = GridPoint(rng.randrange(10_001), rng.randrange(10_001))
             assert walk(table, p, 50) == self.iterated(table, p, 50)
+
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    @pytest.mark.parametrize("start,n", [((0, 0), 3000), ((0, 5000), 300), ((5000, 0), 300)], ids=str)
+    def test_cold_table_equals_iterated_next_point(self, monkeypatch, p1, p2, start, n):
+        # walk grows the table as it goes: the ue list (h_even, over j) and the vo list (k_odd, over i).
+        walked, stepped = ConvergentTable(pair_for(p1, p2)), ConvergentTable(pair_for(p1, p2))
+        ue, _, _, vo = walked._views[False]
+        grown = []
+
+        def grow(table, values, c):
+            if table is walked:
+                grown.append("ue" if values is ue else "vo" if values is vo else "other")
+            real_grow(table, values, c)
+
+        real_grow = successor._grow
+        monkeypatch.setattr(successor, "_grow", grow)
+        assert walk(walked, GridPoint(*start), n) == self.iterated(stepped, GridPoint(*start), n)
+        assert walked.depth == stepped.depth
+        assert grown and set(grown) <= {"ue", "vo"}
+        if start == (0, 0):
+            assert set(grown) == {"ue", "vo"}
 
     def test_zero_steps(self, table23):
         assert walk(table23, GridPoint(3, 2), 0) == []
@@ -375,6 +397,9 @@ _table23 = table_for(2, 3)
         pytest.param(naive_next, (_pair23, (2.5, 1), "affine"), id="naive_next-(GridPoint(i=2.5, j=1), 'affine')"),
         pytest.param(naive_next, (_pair23, (2.5, 1), "value"), id="naive_next-(GridPoint(i=2.5, j=1), 'value')"),
         (ConvergentTable.extend_to, (_table23, 2.5)),
+        (ConvergentTable.h, (_table23, 1.5)),
+        (ConvergentTable.quotient, (_table23, 1.0)),
+        (ConvergentTable.k, (_table23, "2")),
         (ConvergentTable.extend_until, (_table23, 2.5)),
         (ConvergentTable.extend_until, (_table23, "x")),
         (ConvergentTable.extend_until, (_table23, 10, "k", 1.5)),
@@ -407,6 +432,9 @@ def test_non_integer_arguments_are_typed(fn, args):
         lambda: large_gap(_table23, 1, "B"),
         lambda: large_gap(_table23, 0, "A"),
         lambda: minimal_fractional_subsequences(_table23, 0),
+        # Within a budget of 10**400 bits; no float holds the first N, nor the second's error bound.
+        lambda: minimal_fractional_subsequences(ConvergentTable(validate_pair(2, 3, bit_budget=10**400)), 10**399),
+        lambda: minimal_fractional_subsequences(ConvergentTable(validate_pair(2, 3, bit_budget=10**400)), 10**308),
         lambda: predicted_record_indices(_table23, 0),
         lambda: compare_fraction(_pair23, 0, 0),
         lambda: f(_pair23, 0),
@@ -417,8 +445,8 @@ def test_non_integer_arguments_are_typed(fn, args):
     ids=[
         "negative_point", "negative_point_prev", "walk_negative_count", "extend_until_seq",
         "extend_until_parity", "window", "partition_window", "gap_family", "gap_level",
-        "record_scan_N", "predicted_N", "fraction", "f_n", "stream_key", "enumerate_count",
-        "grid_point",
+        "record_scan_N", "record_scan_N_past_float_range", "record_scan_margin_past_float_range", "predicted_N",
+        "fraction", "f_n", "stream_key", "enumerate_count", "grid_point",
     ],
 )
 def test_out_of_range_arguments_are_typed(call):

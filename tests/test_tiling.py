@@ -128,8 +128,13 @@ class TestVerifyPartitionNegativeControls:
             (("P", 1, 1), lambda r: [], [((x, y), 0) for x in range(3) for y in (3, 4)]),
             (("A", 1, 0), lambda r: [r, r], [((1, 0), 2), ((2, 0), 2)]),
             (("P", 1, 0), lambda r: [r._replace(x_max=r.x_max + 1)], [((3, 1), 2), ((3, 2), 2)]),
+            (
+                ("P", 1, 0),
+                lambda r: [r._replace(y_max=r.y_min)] * 3,
+                [((x, y), 3 if y == 1 else 0) for x in range(3) for y in (1, 2)],
+            ),
         ],
-        ids=["dropped", "duplicated", "widened"],
+        ids=["dropped", "duplicated", "widened", "carried"],
     )
     def test_reports_the_exact_cells(self, monkeypatch, band, edit, violations):
         tamper(monkeypatch, *band, edit)
@@ -171,6 +176,9 @@ EDITS = {
     "shifted": lambda r: [
         r._replace(x_min=r.x_min + 1, x_max=r.x_max + 1, y_min=r.y_min + 1, y_max=r.y_max + 1)
     ],
+    # Three copies of the bottom row add up to the bottom two rows, so the masks of a
+    # rectangle two or more rows high still sum to the run's; only the height count differs.
+    "carried": lambda r: [r._replace(y_max=r.y_min)] * 3 + [r._replace(y_min=r.y_min + 2)] * (r.height > 2),
 }
 
 
