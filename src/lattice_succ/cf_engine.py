@@ -29,7 +29,7 @@ from .core_arith import (
     GeneratorPair,
     InvalidArgument,
     LatticeError,
-    NonIntegerArgument,
+    _check_pair,
     _integer,
     _ln,
     _show,
@@ -67,8 +67,7 @@ class ConvergentTable:
     """
 
     def __init__(self, pair: GeneratorPair):
-        if not isinstance(pair, GeneratorPair):
-            raise NonIntegerArgument(f"a table needs a GeneratorPair from validate_pair, got {pair!r}")
+        _check_pair(pair, "a table")
         self.pair = pair
         self._a = [0]
         self._h_even, self._h_odd = [0], []

@@ -4,11 +4,13 @@ Every comparison in this package bottoms out in one primitive here,
 `_affine_sign`: h/k < alpha iff k*ln(p1) - h*ln(p2) > 0. A float log
 comparison settles the sign when its error margin certifies it; otherwise
 correctly rounded decimal logs do, at doubling precision, until their
-error bound certifies it. Once the next log would cost more than the powers
-themselves, a big-integer comparison p2**h < p1**k decides, if the powers
-fit in the bit budget; powers past the budget leave the logs widening up to
-it. No approximate result is ever trusted unless its error bound certifies
-the sign.
+error bound certifies it. No log is wider than the powers, and none but the
+first is past about 512 digits; beyond that a big-integer comparison
+p2**h < p1**k decides, if the powers fit in the bit budget. Powers past the
+budget leave the logs widening up to it. No approximate result is ever
+trusted unless its error bound certifies the sign. The upper sequence `f`
+is one floor on top: a guess from logs sized by the answer, certified by two
+exact signs.
 
 `GeneratorPair` checks the paper's hypothesis when it is built, so alpha is
 irrational and `_affine_sign`'s tie check is only a safety check.
@@ -43,10 +45,13 @@ _LOG2_10 = math.log2(10)
 # the limit is set to.
 _SPLIT_BITS = 2000
 
-# When the powers fit the budget, decimal logs stop widening at about 512
+# When the powers fit the budget, decimal logs stop doubling past about 512
 # digits and the powers decide: logs cost about as much as 10**5-bit powers
 # at 512 digits, and five to ten times more per doubling beyond.
 _LN_MAX_BITS = 512 * _LOG2_10
+
+# f guesses an answer below this from the float logs, off by well under one.
+_FLOAT_GUESS_MAX = 2.0**40
 
 
 class LatticeError(Exception):
@@ -78,7 +83,8 @@ class InvalidArgument(LatticeError, ValueError):
 
 
 class NonIntegerArgument(LatticeError, TypeError):
-    """A non-integer generator, budget or index (no __index__), a non-pair point, or a table's non-pair."""
+    """A non-integer generator, budget or index (no __index__), a non-pair point,
+    or a pair or form argument that is not a GeneratorPair or AffineForm."""
 
 
 class GeneratorPair:
@@ -177,6 +183,12 @@ def _integer(x, name: str) -> int:
         raise NonIntegerArgument(f"{name} must be an integer, got {x!r}") from None
 
 
+def _check_pair(pair, user: str) -> None:
+    """Refuse anything but a GeneratorPair with NonIntegerArgument, naming the user."""
+    if not isinstance(pair, GeneratorPair):
+        raise NonIntegerArgument(f"{user} needs a GeneratorPair from validate_pair, got {pair!r}")
+
+
 def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> GeneratorPair:
     """GeneratorPair(p1, p2, bit_budget), the checked pair under the name the README uses."""
     return GeneratorPair(p1, p2, bit_budget)
@@ -211,11 +223,11 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
     budget = pair.bit_budget
     bits = math.inf if shift else (a if a > b else b)
     prec = (dk.bit_length() + dn.bit_length()) * 1233 // 2048 + 14  # ~2 * (digits of dk and dn) + 10
-    # Logs never grow wider than the powers, and past _LN_MAX_BITS the powers
-    # take over when they fit the budget; they also settle a tie, since equal
-    # powers mean a dependent pair. Powers past the budget would be refused,
-    # so then the logs widen up to it.
-    limit = budget if bits > budget else min(bits, _LN_MAX_BITS)
+    # Logs never grow wider than the powers, nor past _LN_MAX_BITS but in the
+    # first round. Then the powers decide when they fit the budget, a tie too
+    # (equal powers mean a dependent pair); past it they would be refused, so
+    # the logs widen up to it.
+    limit = budget if bits > budget else min(bits, max(_LN_MAX_BITS, 2 * prec * _LOG2_10))
     while prec * _LOG2_10 < limit:
         sign = _log_sign(pair.p1, pair.p2, dk, dn, prec)
         if sign:
@@ -268,6 +280,7 @@ def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
     h/k < alpha  iff  h*log(p2) < k*log(p1)  iff  p2**h < p1**k.
     Accepts k = 0 (h >= 1) for the Stern-Brocot seed 1/0 = +infinity.
     """
+    _check_pair(pair, "compare_fraction")
     h, k = _integer(h, "h"), _integer(k, "k")
     if h < 0 or k < 0 or (h == 0 and k == 0):
         raise InvalidArgument(f"invalid fraction {_show(h)}/{_show(k)}")
@@ -279,6 +292,9 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
 
     EQUAL only for component-wise equal forms (irrationality of alpha).
     """
+    _check_pair(pair, "compare_affine")
+    if not (isinstance(u, AffineForm) and isinstance(v, AffineForm)):
+        raise NonIntegerArgument(f"compare_affine needs two AffineForms, got {u!r} and {v!r}")
     dk = _integer(u.coeff, "u.coeff") - _integer(v.coeff, "v.coeff")
     dn = _integer(u.const, "u.const") - _integer(v.const, "v.const")
     return _affine_sign(pair, dk, dn)
@@ -287,36 +303,31 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
 def f(pair: GeneratorPair, n: int) -> int:
     """Upper sequence f(n) = ceil(n/alpha): least k with n/k < alpha.
 
-    Equivalently the unique k with (k-1)*alpha < n < k*alpha. The float guess
-    k = floor(n*log(p2)/log(p1)) + 1 is returned only when the two exact
-    comparisons that define f(n), the signs of k*alpha - n and (k-1)*alpha - n,
-    confirm it; both go straight to `_affine_sign`. Otherwise, and when n has
-    more bits than a double holds exactly, a search decides.
+    That is the k with (k-1)*alpha < n < k*alpha, which two exact signs from
+    `_affine_sign` certify. The guess comes from logs sized by the answer: the
+    float logs for an answer below _FLOAT_GUESS_MAX, else decimal logs 10
+    digits wider than f(n). It is off by at most one, and steps by one until
+    both signs agree. It never reads the convergent table, which `verify_fg_at_convergents`
+    checks against f.
     """
+    _check_pair(pair, "f")
     n = _integer(n, "n")
     if n < 1:
         raise InvalidArgument(f"n must be positive, got {_show(n)}")
-    if n.bit_length() <= 52:
-        lp1, lp2 = pair._log2
+    lp1, lp2 = pair._log2
+    if n < _FLOAT_GUESS_MAX * lp1 / lp2:  # an int-float compare, exact for any n
         k = int(n * lp2 / lp1) + 1
-        if _affine_sign(pair, k, n) == GREATER and _affine_sign(pair, k - 1, n) == LESS:
-            return k
-    return _f_search(pair, n)
-
-
-def _f_search(pair: GeneratorPair, n: int) -> int:
-    """f(n) by doubling then binary search, each probe one exact comparison."""
-    hi = 1
-    while compare_fraction(pair, n, hi) == GREATER:
-        hi *= 2
-    lo = hi // 2 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare_fraction(pair, n, mid) == LESS:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    else:  # |n*ln(p2)/ln(p1) - n*n2/n1 * 10**(u2-u1)| < 10**(prec-10) * 10**(1-prec)
+        bits = n.bit_length() + int(lp2 / lp1).bit_length()  # f(n) <= 2**bits
+        prec = bits * 1233 // 4096 + 11  # digits of 2**bits, plus 10
+        n1, u1 = _ln(pair.p1, prec)
+        n2, u2 = _ln(pair.p2, prec)
+        k = n * n2 * 10 ** max(u2 - u1, 0) // (n1 * 10 ** max(u1 - u2, 0)) + 1
+    while _affine_sign(pair, k, n) != GREATER:
+        k += 1
+    while _affine_sign(pair, k - 1, n) != LESS:
+        k -= 1
+    return k
 
 
 def g(pair: GeneratorPair, n: int) -> int:
@@ -375,6 +386,7 @@ def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
 
 def value(pair: GeneratorPair, p: GridPoint) -> int:
     """Exact integer p1**i * p2**j."""
+    _check_pair(pair, "value")
     i, j = _grid_point(p)
     _check_value_budget(pair, i, j)
     return pair.p1**i * pair.p2**j

@@ -15,8 +15,8 @@ from collections.abc import Iterator
 from itertools import repeat
 
 from .core_arith import (
-    LESS, ZERO_FORM, AffineForm, GeneratorPair, GridPoint, InvalidArgument, _check_value_budget,
-    _grid_point, _integer, _point, _show, compare_affine, value,
+    LESS, ZERO_FORM, AffineForm, GeneratorPair, GridPoint, InvalidArgument, _check_pair,
+    _check_value_budget, _grid_point, _integer, _point, _show, compare_affine, value,
 )
 
 
@@ -46,6 +46,7 @@ class SortedStream:
     """
 
     def __init__(self, pair: GeneratorPair, key: str = "value"):
+        _check_pair(pair, "SortedStream")
         if key not in ("value", "affine"):
             raise InvalidArgument(f"key must be 'value' or 'affine', got {key!r}")
         self.pair = pair
@@ -79,6 +80,7 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
     listed element whose p1- (p2-) multiple is not yet listed. Equal products
     are one element, reached both ways, and advance both indexes.
     """
+    _check_pair(pair, "enumerate_sorted")
     count = _integer(count, "count")
     if count < 1:
         raise InvalidArgument(f"count must be positive, got {_show(count)}")

@@ -33,7 +33,6 @@ from lattice_succ.core_arith import (
     ZERO_FORM,
     _affine_sign,
     _common_base,
-    _f_search,
 )
 
 from conftest import PAIR_ARGS, pair_for, safe_depth, slow_quotients, table_for
@@ -350,9 +349,7 @@ class TestUpperLowerSequences:
     @given(pair=pairs, n=st.integers(1, 3000))
     @settings(max_examples=80)
     def test_f_matches_bisection_reference(self, pair, n):
-        want = _f_reference(pair, n)
-        assert f(pair, n) == want
-        assert _f_search(pair, n) == want
+        assert f(pair, n) == _f_reference(pair, n)
 
     @given(args=st.sampled_from(PAIR_ARGS), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -370,10 +367,8 @@ class TestUpperLowerSequences:
     @settings(max_examples=20)
     def test_f_past_float_mantissa_is_refused(self, pair, n):
         # Kept under its old name: p2**n is past the budget, but the logs
-        # settle every comparison, so both searches give the exact answer.
-        want = _f_decimal(pair, n)
-        assert f(pair, n) == want
-        assert _f_search(pair, n) == want
+        # settle every comparison, so f gives the exact answer.
+        assert f(pair, n) == _f_decimal(pair, n)
 
     @given(pair=pairs, n=st.integers(1, 400))
     @settings(max_examples=60)
@@ -393,12 +388,118 @@ class TestUpperLowerSequences:
         assert f(pair, n + 1) > f(pair, n)
 
 
+# Pairs for f at large n: the conftest pairs, a large ratio, two close
+# five-digit generators and two 3000-bit ones, where f(n) has 11-12 bits more than n.
+FLOOR_PAIR_ARGS = PAIR_ARGS + [(2, 10**6), (99991, 299967), (3, 2**3000 + 1), (2, 3**1900 + 2)]
+RAISED_BUDGET = 10**250  # admits the powers of every comparison below 1e124
+
+
+def _pair_id(args):
+    return "-".join(str(p) if p < 10**7 else f"{p.bit_length()}bit" for p in args)
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """A list that grows by one entry per _affine_sign call that f makes."""
+    calls = []
+    sign = core_arith._affine_sign
+    monkeypatch.setattr(core_arith, "_affine_sign", lambda *args: calls.append(args) or sign(*args))
+    return calls
+
+
+def _check_f(pair, n, calls, reference=None):
+    """f(pair, n) equals the reference (_f_decimal by default) after at most four exact signs."""
+    calls.clear()
+    got = f(pair, n)
+    assert len(calls) <= 4, (pair, n, len(calls))
+    assert got == (reference or _f_decimal)(pair, n)
+
+
+class TestCertifiedFloor:
+    # f guesses from logs sized by the answer and confirms with exact signs;
+    # each case counts the signs and checks a reference kept in this module.
+
+    @pytest.mark.parametrize("args", FLOOR_PAIR_ARGS, ids=_pair_id)
+    def test_random_n_up_to_1e120(self, args, sign_calls):
+        pair = validate_pair(*args, bit_budget=RAISED_BUDGET)
+        rng = random.Random(args[0] * 31 + args[1] % 1000)
+        for _ in range(40):
+            _check_f(pair, rng.randrange(1, 10 ** rng.randint(1, 120)), sign_calls)
+
+    @pytest.mark.parametrize("args", FLOOR_PAIR_ARGS, ids=_pair_id)
+    def test_near_2_40_to_2_52_and_1e120(self, args, sign_calls):
+        # Past 2**40 an answer of (3, 2**3000 + 1) has 51-63 bits, where a float
+        # guess sized by n alone is off by hundreds.
+        pair = validate_pair(*args, bit_budget=RAISED_BUDGET)
+        for base in [2**e for e in range(40, 53)] + [10**120]:
+            for n in (base - 1, base, base + 1):
+                _check_f(pair, n, sign_calls)
+
+    @pytest.mark.parametrize("args", FLOOR_PAIR_ARGS, ids=_pair_id)
+    def test_at_deep_convergents(self, args, sign_calls):
+        # n/alpha lies closest to an integer at the numerators h_i, within
+        # about 1/k_(i+1): there the logs of the guess and the signs are hardest.
+        pair = validate_pair(*args, bit_budget=RAISED_BUDGET)
+        table = ConvergentTable(pair)
+        while table.h(table.depth) < 10**120:
+            table.extend_to(table.depth + 1)
+        for i in range(1, table.depth + 1):
+            for n in (table.h(i) - 1, table.h(i), table.h(i) + 1):
+                if n >= 1:
+                    _check_f(pair, n, sign_calls)
+
+    @pytest.mark.parametrize("guess", ["float", "decimal"])
+    @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+    def test_log_path_forced_undecided(self, p1, p2, guess, sign_calls, monkeypatch):
+        # As in TestCertifiedLogPath: the float filter certifies nothing and
+        # the decimal-log signs stay undecided, so big-integer powers settle
+        # every sign; the guess comes from the float or the decimal logs.
+        monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
+        monkeypatch.setattr(core_arith, "_log_sign", lambda *args: EQUAL)
+        if guess == "decimal":
+            monkeypatch.setattr(core_arith, "_FLOAT_GUESS_MAX", 0)
+        pair = pair_for(p1, p2)
+        rng = random.Random(p1 * 31 + p2)
+        for n in [*range(1, 40), *(rng.randrange(40, 1500) for _ in range(20))]:
+            _check_f(pair, n, sign_calls, _f_reference)
+
+    def test_powers_past_1e124_end(self):
+        # The first log round of these signs is about 815 digits wide, past
+        # the doubling cap; it once went unrun, and powers of about 1e200 bits
+        # were built. Run apart, with the address space limited in the child.
+        n = random.Random(7).randrange(10**199, 10**200)
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from lattice_succ.core_arith import f, validate_pair\n"
+            f"print(f(validate_pair(2, 3, bit_budget={RAISED_BUDGET}), {n}))\n"
+        )
+        src = str(Path(lattice_succ.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=src, check=True
+        )
+        assert int(done.stdout) == _f_decimal(pair_for(2, 3), n)
+
+
 def _f_decimal(pair, n):
-    """ceil(n*ln(p2)/ln(p1)) from decimal logs 60 digits wider than n."""
+    """ceil(n*ln(p2)/ln(p1)) from decimal logs at least 60 digits wider than n.
+
+    The roundings of the two logs, the quotient and the product move it by a
+    few units of its last digit, so the precision doubles until the product
+    lies more than 10**5 such units from an integer.
+    """
     import decimal
 
-    ctx = decimal.Context(prec=len(str(n)) + 60, rounding=decimal.ROUND_CEILING)
-    return int(ctx.multiply(n, ctx.divide(ctx.ln(pair.p2), ctx.ln(pair.p1))).to_integral_value(context=ctx))
+    prec = len(str(n)) + 60
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            x = n * (decimal.Decimal(pair.p2).ln() / decimal.Decimal(pair.p1).ln())
+            floor = x.to_integral_value(rounding=decimal.ROUND_FLOOR)
+            slack = decimal.Decimal(1).scaleb(x.adjusted() - prec + 6)
+            if slack < x - floor < 1 - slack:
+                return int(floor) + 1
+        prec *= 2
 
 
 def _f_reference(pair, n):

@@ -5,7 +5,8 @@
 verifiers (`tiling`, `sequences`, `oracle`) nor `dataclasses`, `inspect` or
 `heapq`. The oracle is the converse: it rests on `core_arith` alone, so checking
 the engine against it loads neither `cf_engine` nor `successor`, and
-`GridPoint` and `value` load only `core_arith`. The checks run in a fresh
+`GridPoint`, `value` and `f` load only `core_arith`; so `f` is independent of the
+convergent table that `verify_fg_at_convergents` checks against it. The checks run in a fresh
 interpreter started with -S, so that only the library's own imports are
 counted, not those of site hooks. GridPoints pickled when `successor` defined
 the type still load.
@@ -104,6 +105,15 @@ def test_grid_point_and_value_load_only_core_arith():
         "from lattice_succ import GridPoint, value, validate_pair\n"
         "assert value(validate_pair(2, 3), GridPoint(18, 4)) == 21233664\n"
         "assert GridPoint.__module__ == 'lattice_succ.core_arith'\n"
+    )
+    assert _loaded_after(code, SUBMODULES) == ["lattice_succ", "lattice_succ.core_arith"]
+
+
+def test_f_loads_only_core_arith():
+    # 10**60 takes f's decimal-log guess, the path that could read the table instead.
+    code = (
+        "from lattice_succ.core_arith import f, validate_pair\n"
+        "assert f(validate_pair(2, 3), 10**60) == 1584962500721156181453738943947816508759814407692481060455753\n"
     )
     assert _loaded_after(code, SUBMODULES) == ["lattice_succ", "lattice_succ.core_arith"]
 

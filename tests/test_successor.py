@@ -23,6 +23,7 @@ from lattice_succ import (
     compare_fraction,
     enumerate_sorted,
     f,
+    g,
     large_gap,
     locate,
     locate_tilde,
@@ -410,6 +411,18 @@ _table23 = table_for(2, 3)
         (minimal_fractional_subsequences, (_table23, 2.0)),
         (verify_fg_at_convergents, (_table23, 2.0)),
         (verify_monotone_fractional_chains, (_table23, 2.0)),
+        # A pair that is not a GeneratorPair, and forms that are not AffineForms.
+        pytest.param(f, ((2, 3), 5), id="f-pair_tuple"),
+        pytest.param(g, ((2, 3), 5), id="g-pair_tuple"),
+        pytest.param(compare_fraction, (None, 1, 2), id="compare_fraction-pair_None"),
+        pytest.param(compare_affine, ((2, 3), AffineForm(1, 1), AffineForm(0, 0)), id="compare_affine-pair_tuple"),
+        pytest.param(value, ((2, 3), (1, 1)), id="value-pair_tuple"),
+        pytest.param(enumerate_sorted, ((2, 3), 3), id="enumerate_sorted-pair_tuple"),
+        pytest.param(SortedStream, ((2, 3),), id="SortedStream-pair_tuple"),
+        pytest.param(SortedStream, ((2, 3), "affine"), id="SortedStream-pair_tuple_affine"),
+        pytest.param(naive_next, ((2, 3), (1, 1)), id="naive_next-pair_tuple"),
+        pytest.param(compare_affine, (_pair23, (1, 1), (0, 0)), id="compare_affine-form_tuple"),
+        pytest.param(compare_affine, (_pair23, None, AffineForm(0, 0)), id="compare_affine-form_None"),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v[1:]),
 )
