@@ -392,10 +392,9 @@ class TestUpperLowerSequences:
 # five-digit generators and two 3000-bit ones, where f(n) has 11-12 bits more than n.
 FLOOR_PAIR_ARGS = PAIR_ARGS + [(2, 10**6), (99991, 299967), (3, 2**3000 + 1), (2, 3**1900 + 2)]
 RAISED_BUDGET = 10**250  # admits the powers of every comparison below 1e124
-
-
-def _pair_id(args):
-    return "-".join(str(p) if p < 10**7 else f"{p.bit_length()}bit" for p in args)
+floor_pairs = pytest.mark.parametrize(
+    "args", FLOOR_PAIR_ARGS, ids=lambda args: "-".join(str(p) if p < 10**7 else f"{p.bit_length()}bit" for p in args)
+)
 
 
 @pytest.fixture
@@ -419,14 +418,14 @@ class TestCertifiedFloor:
     # f guesses from logs sized by the answer and confirms with exact signs;
     # each case counts the signs and checks a reference kept in this module.
 
-    @pytest.mark.parametrize("args", FLOOR_PAIR_ARGS, ids=_pair_id)
+    @floor_pairs
     def test_random_n_up_to_1e120(self, args, sign_calls):
         pair = validate_pair(*args, bit_budget=RAISED_BUDGET)
         rng = random.Random(args[0] * 31 + args[1] % 1000)
         for _ in range(40):
             _check_f(pair, rng.randrange(1, 10 ** rng.randint(1, 120)), sign_calls)
 
-    @pytest.mark.parametrize("args", FLOOR_PAIR_ARGS, ids=_pair_id)
+    @floor_pairs
     def test_near_2_40_to_2_52_and_1e120(self, args, sign_calls):
         # Past 2**40 an answer of (3, 2**3000 + 1) has 51-63 bits, where a float
         # guess sized by n alone is off by hundreds.
@@ -435,7 +434,7 @@ class TestCertifiedFloor:
             for n in (base - 1, base, base + 1):
                 _check_f(pair, n, sign_calls)
 
-    @pytest.mark.parametrize("args", FLOOR_PAIR_ARGS, ids=_pair_id)
+    @floor_pairs
     def test_at_deep_convergents(self, args, sign_calls):
         # n/alpha lies closest to an integer at the numerators h_i, within
         # about 1/k_(i+1): there the logs of the guess and the signs are hardest.
