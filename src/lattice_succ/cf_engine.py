@@ -5,9 +5,9 @@ The partial quotients are read off a certified interval around
 Euclid: Euclid's division runs on both ends in lockstep, and every quotient
 the two ends share is one of 1/alpha's, which are alpha's from a_1 on. The
 first interval comes from the float logs, trusted with the relative margin
-of `core_arith`'s float pre-filter; when its quotients run out, correctly
-rounded decimal logs at doubling precision give the next. Growth makes no
-comparison.
+of `core_arith`'s float pre-filter; when its quotients run out,
+`core_arith._ln`'s logs in units of 2**-bits, at doubling width, give the
+next. Growth makes no comparison.
 
 The table keeps the quotients a in one list and h and k split by index
 parity: the even-index convergents lie below alpha and carry the P bands,
@@ -62,7 +62,7 @@ class ConvergentTable:
     covers every grid point whose two exponents are within the budget, and
     a refusal is one integer comparison. `_cf` holds the quotients a_1,
     a_2, ... certified so far, which are those of 1/alpha = log(p2)/log(p1)
-    (a_0 = 0, as p1 < p2), and `_prec` the decimal precision that certified
+    (a_0 = 0, as p1 < p2), and `_prec` the log width in bits that certified
     them (0: the float logs).
     """
 
@@ -130,7 +130,7 @@ class ConvergentTable:
         """Grow until the last index of the given parity has h or k > above."""
         above, parity = _integer(above, "above"), _integer(parity, "parity")
         if seq not in ("h", "k"):
-            raise InvalidArgument(f"seq must be 'h' or 'k', got {seq!r}")
+            raise InvalidArgument(f"seq must be 'h' or 'k', got {_show(seq)}")
         if parity not in (0, 1):
             raise InvalidArgument(f"parity must be 0 or 1, got {_show(parity)}")
         lists = (self._h_even, self._h_odd) if seq == "h" else (self._k_even, self._k_odd)
@@ -157,15 +157,14 @@ class ConvergentTable:
         self._a.append(a)
 
     def _refine(self) -> None:
-        """Certify quotients from decimal logs at twice the last precision.
+        """Certify quotients from logs at twice the last width in bits.
 
-        With ln(p_i) = n_i * 10**u_i to within half a last digit, 1/alpha
-        lies in [(2n2 - 1)/(2n1 + 1), (2n2 + 1)/(2n1 - 1)] * 10**(u2 - u1).
+        With n_i within one unit of ln(p_i) * 2**bits, 1/alpha lies in
+        [(n2 - 1)/(n1 + 1), (n2 + 1)/(n1 - 1)].
         """
-        prec = 2 * self._prec or 32
-        (n1, u1), (n2, u2) = _ln(self.pair.p1, prec), _ln(self.pair.p2, prec)
-        s1, s2 = 10 ** max(u1 - u2, 0), 10 ** max(u2 - u1, 0)
-        cf = _shared_quotients((2 * n2 - 1) * s2, (2 * n1 + 1) * s1, (2 * n2 + 1) * s2, (2 * n1 - 1) * s1)
+        prec = 2 * self._prec or 107
+        n1, n2 = _ln(self.pair.p1, prec), _ln(self.pair.p2, prec)
+        cf = _shared_quotients(n2 - 1, n1 + 1, n2 + 1, n1 - 1)
         if len(cf) > len(self._cf):
             self._cf = cf
         self._prec = prec

@@ -3,9 +3,10 @@
 Every comparison in this package bottoms out in one primitive here,
 `_affine_sign`: h/k < alpha iff k*ln(p1) - h*ln(p2) > 0. A float log
 comparison settles the sign when its error margin certifies it; otherwise
-correctly rounded decimal logs do, at doubling precision, until their
-error bound certifies it. No log is wider than the powers, and none but the
-first is past about 512 digits; beyond that a big-integer comparison
+fixed-point logs do, at doubling width, until their error bound certifies
+it. `_ln(p, bits)` is the one routine that computes a log: an integer within
+one unit of ln(p) * 2**bits. No log is wider than the powers, and none but
+the first is past _LN_MAX_BITS; beyond that a big-integer comparison
 p2**h < p1**k decides, if the powers fit in the bit budget. Powers past the
 budget leave the logs widening up to it. No approximate result is ever
 trusted unless its error bound certifies the sign. The upper sequence `f`
@@ -38,17 +39,15 @@ DEFAULT_BIT_BUDGET = 1_000_000
 _FLOAT_REL_MARGIN = 1e-12
 _FLOAT_ABS_MARGIN = 1e-9
 
-_LOG2_10 = math.log2(10)
-
 # An int of at most this many bits has at most 603 digits, below the smallest
 # int-to-str limit the interpreter accepts (640), so str() prints it whatever
 # the limit is set to.
 _SPLIT_BITS = 2000
 
-# When the powers fit the budget, decimal logs stop doubling past about 512
-# digits and the powers decide: logs cost about as much as 10**5-bit powers
-# at 512 digits, and five to ten times more per doubling beyond.
-_LN_MAX_BITS = 512 * _LOG2_10
+# When the powers fit the budget, logs stop doubling past this width (about
+# 512 digits) and the powers decide: logs cost about as much as 10**5-bit
+# powers here, and five to ten times more per doubling beyond.
+_LN_MAX_BITS = 1700
 
 # f guesses an answer below this from the float logs, off by well under one.
 _FLOAT_GUESS_MAX = 2.0**40
@@ -168,11 +167,18 @@ def _common_base(a: int, b: int) -> int:
     return a
 
 
-def _show(n: int) -> str:
-    """n for a message: its digits up to _SPLIT_BITS bits, its bit length past them."""
-    if n.bit_length() <= _SPLIT_BITS:
-        return str(n)
-    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+def _show(x) -> str:
+    """x for a message. An int shows its digits up to _SPLIT_BITS bits and its
+    bit length past them; anything else its repr, or <typename> when the repr
+    raises ValueError (a container of ints past the int-to-str limit)."""
+    if isinstance(x, int):
+        if x.bit_length() <= _SPLIT_BITS:
+            return str(x)
+        return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__}>"
 
 
 def _integer(x, name: str) -> int:
@@ -180,13 +186,13 @@ def _integer(x, name: str) -> int:
     try:
         return operator.index(x)
     except TypeError:
-        raise NonIntegerArgument(f"{name} must be an integer, got {x!r}") from None
+        raise NonIntegerArgument(f"{name} must be an integer, got {_show(x)}") from None
 
 
 def _check_pair(pair, user: str) -> None:
     """Refuse anything but a GeneratorPair with NonIntegerArgument, naming the user."""
     if not isinstance(pair, GeneratorPair):
-        raise NonIntegerArgument(f"{user} needs a GeneratorPair from validate_pair, got {pair!r}")
+        raise NonIntegerArgument(f"{user} needs a GeneratorPair from validate_pair, got {_show(pair)}")
 
 
 def validate_pair(p1: int, p2: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> GeneratorPair:
@@ -198,7 +204,7 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
     """Exact sign of dk*alpha - dn, which is the sign of p1**dk / p2**dn - 1.
 
     The one order decision of the package: the certified float pre-filter on
-    the bit counts, the certified decimal-log comparison, the big-integer
+    the bit counts, the certified fixed-point log comparison, the big-integer
     fallback and the tie that irrationality forbids all live here. Exponents
     of any size are compared; the bit budget guards only the fallback, so
     only a comparison the logs cannot settle within it is refused.
@@ -222,13 +228,14 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
         return -s
     budget = pair.bit_budget
     bits = math.inf if shift else (a if a > b else b)
-    prec = (dk.bit_length() + dn.bit_length()) * 1233 // 2048 + 14  # ~2 * (digits of dk and dn) + 10
+    # Log bits: twice those of dk and dn, plus 46 to 60. Steps of 16 let signs of nearby sizes share cached logs.
+    prec = (dk.bit_length() + dn.bit_length() + 30) // 8 * 16
     # Logs never grow wider than the powers, nor past _LN_MAX_BITS but in the
     # first round. Then the powers decide when they fit the budget, a tie too
     # (equal powers mean a dependent pair); past it they would be refused, so
     # the logs widen up to it.
-    limit = budget if bits > budget else min(bits, max(_LN_MAX_BITS, 2 * prec * _LOG2_10))
-    while prec * _LOG2_10 < limit:
+    limit = budget if bits > budget else min(bits, max(_LN_MAX_BITS, 2 * prec))
+    while prec < limit:
         sign = _log_sign(pair.p1, pair.p2, dk, dn, prec)
         if sign:
             return s * sign
@@ -244,34 +251,27 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _ln(p: int, prec: int) -> tuple[int, int]:
-    """ln(p) correctly rounded to prec digits, as (n, u): |ln(p) - n*10**u| <= 10**u / 2."""
+def _ln(p: int, bits: int) -> int:
+    """ln(p) in units of 2**-bits: an int n with |ln(p) * 2**bits - n| < 1.
+
+    ln(p) * 2**bits < 2**x for x = bits + p.bit_length().bit_length(), and 1234/4096 > log10(2): the
+    context keeps 3 digits past it, so the log and the product err by < 0.011 units, the rounding by 1/2.
+    """
     import decimal  # only this path needs it, so `import lattice_succ` does not load it
 
-    ctx = decimal.Context(prec=prec)
-    ln = ctx.ln(p)
-    u = ln.adjusted() - prec + 1  # exponent of the last digit, from the real exponent
-    return int(ln.scaleb(-u, ctx)), u
+    ctx = decimal.Context(prec=(bits + p.bit_length().bit_length()) * 1234 // 4096 + 4)
+    return int(ctx.multiply(ctx.ln(p), 1 << bits).to_integral_value())
 
 
-def _log_sign(p1: int, p2: int, dk: int, dn: int, prec: int) -> int:
-    """Sign of dk*ln(p1) - dn*ln(p2) for dk, dn > 0 from prec-digit logs; EQUAL if undecided.
+def _log_sign(p1: int, p2: int, dk: int, dn: int, bits: int) -> int:
+    """Sign of dk*ln(p1) - dn*ln(p2) for dk, dn > 0 from logs in units of 2**-bits; EQUAL if undecided.
 
-    The difference of the rounded logs is formed exactly in units of the
-    finer last digit, and its sign is trusted only when it exceeds the sum of
-    the two rounding errors, dk*e1 + dn*e2 with e_i half a last digit.
+    Each log is within one unit, so the difference is within dk + dn units, and its sign is trusted only past that.
     """
-    n1, u1 = _ln(p1, prec)
-    n2, u2 = _ln(p2, prec)
-    u = min(u1, u2)
-    w1, w2 = 10 ** (u1 - u), 10 ** (u2 - u)
-    twice_diff = 2 * (dk * n1 * w1 - dn * n2 * w2)
-    twice_error = dk * w1 + dn * w2
-    if twice_diff > twice_error:
-        return GREATER
-    if twice_diff < -twice_error:
-        return LESS
-    return EQUAL
+    diff = dk * _ln(p1, bits) - dn * _ln(p2, bits)
+    if abs(diff) <= dk + dn:
+        return EQUAL
+    return GREATER if diff > 0 else LESS
 
 
 def compare_fraction(pair: GeneratorPair, h: int, k: int) -> int:
@@ -294,7 +294,7 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
     """
     _check_pair(pair, "compare_affine")
     if not (isinstance(u, AffineForm) and isinstance(v, AffineForm)):
-        raise NonIntegerArgument(f"compare_affine needs two AffineForms, got {u!r} and {v!r}")
+        raise NonIntegerArgument(f"compare_affine needs two AffineForms, got {_show(u)} and {_show(v)}")
     dk = _integer(u.coeff, "u.coeff") - _integer(v.coeff, "v.coeff")
     dn = _integer(u.const, "u.const") - _integer(v.const, "v.const")
     return _affine_sign(pair, dk, dn)
@@ -305,10 +305,10 @@ def f(pair: GeneratorPair, n: int) -> int:
 
     That is the k with (k-1)*alpha < n < k*alpha, which two exact signs from
     `_affine_sign` certify. The guess comes from logs sized by the answer: the
-    float logs for an answer below _FLOAT_GUESS_MAX, else decimal logs 10
-    digits wider than f(n). It is off by at most one, and steps by one until
-    both signs agree. It never reads the convergent table, which `verify_fg_at_convergents`
-    checks against f.
+    float logs for an answer below _FLOAT_GUESS_MAX, else logs in units of
+    2**-bits, 34 bits wider than f(n). It is off by at most one, and steps by
+    one until both signs agree. It never reads the convergent table, which
+    `verify_fg_at_convergents` checks against f.
     """
     _check_pair(pair, "f")
     n = _integer(n, "n")
@@ -317,12 +317,9 @@ def f(pair: GeneratorPair, n: int) -> int:
     lp1, lp2 = pair._log2
     if n < _FLOAT_GUESS_MAX * lp1 / lp2:  # an int-float compare, exact for any n
         k = int(n * lp2 / lp1) + 1
-    else:  # |n*ln(p2)/ln(p1) - n*n2/n1 * 10**(u2-u1)| < 10**(prec-10) * 10**(1-prec)
-        bits = n.bit_length() + int(lp2 / lp1).bit_length()  # f(n) <= 2**bits
-        prec = bits * 1233 // 4096 + 11  # digits of 2**bits, plus 10
-        n1, u1 = _ln(pair.p1, prec)
-        n2, u2 = _ln(pair.p2, prec)
-        k = n * n2 * 10 ** max(u2 - u1, 0) // (n1 * 10 ** max(u1 - u2, 0)) + 1
+    else:  # f(n) <= 2**(prec-34), and n*n2/n1 is within f(n) * 2**(2-prec) of n*ln(p2)/ln(p1)
+        prec = n.bit_length() + int(lp2 / lp1).bit_length() + 34
+        k = n * _ln(pair.p2, prec) // _ln(pair.p1, prec) + 1
     while _affine_sign(pair, k, n) != GREATER:
         k += 1
     while _affine_sign(pair, k - 1, n) != LESS:
@@ -367,7 +364,7 @@ def _grid_point(p) -> GridPoint:
     if type(p) is GridPoint:
         return p
     if not isinstance(p, (tuple, list)) or len(p) != 2:  # bytes, range and the like are not points
-        raise NonIntegerArgument(f"grid point must be a pair of integers, got {p!r}")
+        raise NonIntegerArgument(f"grid point must be a pair of integers, got {_show(p)}")
     return GridPoint(p[0], p[1])
 
 

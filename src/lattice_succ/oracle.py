@@ -48,7 +48,7 @@ class SortedStream:
     def __init__(self, pair: GeneratorPair, key: str = "value"):
         _check_pair(pair, "SortedStream")
         if key not in ("value", "affine"):
-            raise InvalidArgument(f"key must be 'value' or 'affine', got {key!r}")
+            raise InvalidArgument(f"key must be 'value' or 'affine', got {_show(key)}")
         self.pair = pair
         self.key = key
         self.last_value: int | None = None

@@ -21,7 +21,7 @@ from itertools import repeat
 
 from .cf_engine import ConvergentTable, _grow
 from .core_arith import (  # GridPoint and value stay bound here for pickles and imports naming this module
-    GridPoint, InternalConsistencyError, InvalidArgument, NoPredecessor, _check_value_budget,
+    GridPoint, InternalConsistencyError, InvalidArgument, NoPredecessor,
     _grid_point, _integer, _point, _show, value,
 )
 

@@ -226,7 +226,7 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
     """
     i = _integer(level, "level")
     if family not in ("A", "P"):
-        raise InvalidArgument(f"unknown family {family!r}")
+        raise InvalidArgument(f"unknown family {_show(family)}")
     least = 1 if family == "A" else 0
     if i < least:
         raise InvalidArgument(f"{family}-family witnesses need level >= {least}")

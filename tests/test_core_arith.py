@@ -581,9 +581,10 @@ class TestCertifiedLogPath:
 
     @pytest.mark.parametrize("p1,p2", [(2, 3**100), (2, 10**400), (3**100, 2**200 + 1)])
     def test_logs_above_100_at_convergents(self, p1, p2, monkeypatch):
-        # ln(p2) > 100, so the last digit's place comes from the log's own
-        # exponent. The float filter is switched off, since at convergents the
-        # budget reaches it settles nearly everything.
+        # ln(p2) > 100, so ln(p2) * 2**bits has at least 7 integer bits, which
+        # _ln's context holds besides the bits. The float filter is switched
+        # off, since at convergents the budget reaches it settles nearly
+        # everything.
         pair = validate_pair(p1, p2)
         assert math.log(p2) > 100
         table = ConvergentTable(pair)
@@ -600,16 +601,18 @@ class TestCertifiedLogPath:
                 assert _affine_sign(pair, -dk, -dn) == -_power_sign(pair, dk, dn)
         assert any(sign != EQUAL for *_, sign in calls)
 
-    @pytest.mark.parametrize("p", [2, 3, 10**40 + 3, 3**100, 10**400])
-    @pytest.mark.parametrize("prec", [14, 34, 136])
-    def test_ln_is_within_half_a_last_digit(self, p, prec):
+    @pytest.mark.parametrize("p", [2, 3, 10**40 + 3, 3**100, 10**400, 2**3000 + 1])
+    @pytest.mark.parametrize("bits", [48, 114, 453])
+    def test_ln_is_within_one_unit(self, p, bits):
+        # One unit, 2**-bits, is never wider than half a last digit of the
+        # 14-, 34- and 136-digit decimal logs, for every p here.
         import decimal
 
-        n, u = core_arith._ln(p, prec)
-        assert len(str(n)) == prec
-        wide = decimal.Context(prec=prec + 30)
-        err = abs(wide.ln(p) - wide.scaleb(decimal.Decimal(n), u))
-        assert 2 * err <= wide.scaleb(decimal.Decimal(1), u)
+        n = core_arith._ln(p, bits)
+        assert type(n) is int
+        # ln(p) * 2**bits < 2**(bits + 12) has at most bits * 0.30103 + 5 digits; the reference keeps 35 more.
+        wide = decimal.Context(prec=bits * 1233 // 4096 + 40)
+        assert wide.subtract(wide.multiply(wide.ln(p), 1 << bits), n).copy_abs() < 1
 
     def test_precision_doubles_until_decided(self, monkeypatch):
         # ln(p1) and ln(p2) agree to 40 digits, so the float logs are equal and

@@ -423,6 +423,14 @@ _table23 = table_for(2, 3)
         pytest.param(naive_next, ((2, 3), (1, 1)), id="naive_next-pair_tuple"),
         pytest.param(compare_affine, (_pair23, (1, 1), (0, 0)), id="compare_affine-form_tuple"),
         pytest.param(compare_affine, (_pair23, None, AffineForm(0, 0)), id="compare_affine-form_None"),
+        # Ints past the int-to-str limit, inside a value the message shows by its type alone.
+        pytest.param(f, ((2, 10**5000), 5), id="f-pair_past_str_limit"),
+        pytest.param(ConvergentTable, ((2, 10**5000),), id="ConvergentTable-pair_past_str_limit"),
+        pytest.param(
+            compare_affine, (_pair23, (10**5000, 1), AffineForm(0, 0)), id="compare_affine-form_past_str_limit"
+        ),
+        pytest.param(next_point, (_table23, (10**5000, 1, 2)), id="next_point-point_past_str_limit"),
+        pytest.param(GridPoint, ([10**5000], 0), id="GridPoint-i_past_str_limit"),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v[1:]),
 )
@@ -454,12 +462,16 @@ def test_non_integer_arguments_are_typed(fn, args):
         lambda: SortedStream(_pair23, key="size"),
         lambda: enumerate_sorted(_pair23, 0),
         lambda: GridPoint(-1, 0),
+        lambda: SortedStream(_pair23, key=[10**5000]),
+        lambda: large_gap(_table23, 1, family=[10**5000]),
+        lambda: _table23.extend_until(5, seq=[10**5000]),
     ],
     ids=[
         "negative_point", "negative_point_prev", "walk_negative_count", "extend_until_seq",
         "extend_until_parity", "window", "partition_window", "gap_family", "gap_level",
         "record_scan_N", "record_scan_N_past_float_range", "record_scan_margin_past_float_range", "predicted_N",
         "fraction", "f_n", "stream_key", "enumerate_count", "grid_point",
+        "stream_key_past_str_limit", "gap_family_past_str_limit", "extend_until_seq_past_str_limit",
     ],
 )
 def test_out_of_range_arguments_are_typed(call):
