@@ -148,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     _check_count("--scan", scan)
     _check_count("--depth", depth)
 
-    from .oracle import enumerate_sorted
+    from .oracle import _merge
     from .sequences import (
         minimal_fractional_subsequences,
         predicted_record_indices,
@@ -168,13 +168,13 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     tld = verify_partition(table, W, H, tilde=True)
     suite("partition-tilde", tld.ok, f"{tld.rectangle_count} rectangles on {W}x{H}")
 
-    elems = enumerate_sorted(pair, scan + 1)
-    # Both lists start at elems[0], so they agree iff every oracle step is next_point's.
-    walked = walk(table, elems[0][0], scan)
-    stepped = [q for q, _ in elems[1:]]
+    # walk's points against the oracle's exponent pairs, which are plain tuples: a GridPoint
+    # equals its tuple. Both lists follow (0, 0), so they agree iff every oracle step is next_point's.
+    stepped = _merge(pair, scan + 1)[0][1:]
+    walked = walk(table, GridPoint(0, 0), scan)
     mismatches = 0
     if walked != stepped:
-        mismatches = abs(len(walked) - scan) + sum(1 for p, q in zip(walked, stepped) if p != q)
+        mismatches = abs(len(walked) - len(stepped)) + sum(1 for p, q in zip(walked, stepped) if p != q)
     suite("oracle-agreement", mismatches == 0, f"{scan} successor steps, {mismatches} mismatches")
 
     fg = verify_fg_at_convergents(table, depth)

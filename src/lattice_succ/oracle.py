@@ -74,16 +74,26 @@ class SortedStream:
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
     """First `count` elements of S as (coordinates, exact value); refuses where value() would.
 
-    Dijkstra's two-index merge, an algorithm apart from `SortedStream`'s heap:
-    every element but 1 is p1 or p2 times a smaller one, so the next element
-    is the smaller of vals[a]*p1 and vals[b]*p2, where a (b) indexes the least
-    listed element whose p1- (p2-) multiple is not yet listed. Equal products
-    are one element, reached both ways, and advance both indexes.
+    The list is `_merge`'s, with each exponent pair made a GridPoint.
     """
     _check_pair(pair, "enumerate_sorted")
     count = _integer(count, "count")
     if count < 1:
         raise InvalidArgument(f"count must be positive, got {_show(count)}")
+    ij, vals = _merge(pair, count)
+    return list(zip(map(_point, repeat(GridPoint), ij), vals))
+
+
+def _merge(pair: GeneratorPair, count: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The exponent pairs (i, j), as plain tuples, and the values of the first `count` >= 1 elements of S.
+
+    Dijkstra's two-index merge, an algorithm apart from `SortedStream`'s heap:
+    every element but 1 is p1 or p2 times a smaller one, so the next element
+    is the smaller of vals[a]*p1 and vals[b]*p2, where a (b) indexes the least
+    listed element whose p1- (p2-) multiple is not yet listed. Equal products
+    are one element, reached both ways, and advance both indexes. The pair is
+    checked by the caller; an element past the budget refuses as value() would.
+    """
     p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
     vals, ij = [1], [(0, 0)]  # the values and coordinates listed; value() never refuses (0, 0)
     a = b = 0
@@ -110,7 +120,7 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
         if v.bit_length() >= budget:
             _check_value_budget(pair, i, j)
         ij.append((i, j))
-    return list(zip(map(_point, repeat(GridPoint), ij), vals))
+    return ij, vals
 
 
 def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:

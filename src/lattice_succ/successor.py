@@ -39,10 +39,14 @@ def _query(tilde: bool, name: str, doc: str):
     band (n, t) of n = 2m + 1: d at offset rem from vo[m] + t*ve[m + 1], and
     c < u_{n+1} = ue[m + 1]; it translates to (c + uo[m] + t*ue[m + 1], rem).
     Either way the offset rem stays on the band's axis and the other
-    coordinate moves by the band's translation. Cells with c < u_0 (tilde,
-    x = 0) are A cells; (0, 0) has no tilde rectangle. Only `_grow` grows.
-    `walk` is the second reader of this layout: it runs the source-view
-    lookup in its own loop, so a change here must be made there too.
+    coordinate moves by the band's translation. An offset from u_n (P) or
+    v_n (A) below the band's width u_{n+1} (v_{n+1}) is a cell of band
+    t = 0, which the primary convergent's translation alone carries, with no
+    division; only a cell of a band t >= 1 takes `divmod` for t. Cells with
+    c < u_0 (tilde, x = 0) are A cells; (0, 0) has no tilde rectangle. Only
+    `_grow` grows. `walk` is the second reader of this layout: it runs the
+    source-view lookup in its own loop, so a change here must be made there
+    too.
     """
 
     def query(table: ConvergentTable, p: GridPoint) -> GridPoint:
@@ -58,18 +62,27 @@ def _query(tilde: bool, name: str, doc: str):
                 _grow(table, ue, c)
             m = bisect_right(ue, c) - 1
             if d < vo[m]:
-                t, c = divmod(c - ue[m], uo[m])
-                d += ve[m] + t * vo[m]
+                c -= ue[m]
+                if c >= uo[m]:
+                    t, c = divmod(c, uo[m])
+                    d += t * vo[m]
+                d += ve[m]
                 return _point(GridPoint, (c, d) if tilde else (d, c))
         elif not d:
             raise NoPredecessor("no predecessor: (0, 0) is the least element of S")
         if not vo or vo[-1] <= d:
             _grow(table, vo, d)
-        m = bisect_right(vo, d) - 1
-        if c >= ue[m + 1]:
+        m1 = bisect_right(vo, d)
+        u1 = ue[m1]
+        if c >= u1:
             raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
-        t, d = divmod(d - vo[m], ve[m + 1])
-        c += uo[m] + t * ue[m + 1]
+        m = m1 - 1
+        d -= vo[m]
+        v1 = ve[m1]
+        if d >= v1:
+            t, d = divmod(d, v1)
+            c += t * u1
+        c += uo[m]
         return _point(GridPoint, (c, d) if tilde else (d, c))
 
     query.__name__ = query.__qualname__ = name
@@ -85,7 +98,9 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     """The n successors of p in sorted S: next_point iterated n times in one call.
 
     The loop is `_query`'s source-view lookup on plain ints, with (c, d) =
-    (j, i). The parity lists grow in place, so it sees the rows `_grow`
+    (j, i): a step in a band t = 0 translates by the primary convergent with
+    no division, like `_query`'s, so a change to either must be made to
+    both. The parity lists grow in place, so it sees the rows `_grow`
     appends mid-walk. c >= ue[0] = h_0 = 0 always holds, so the lookup's
     branch for c < u_0, which only the tilde view takes, is left out. The
     GridPoints are built in one pass at the end.
@@ -96,21 +111,31 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     d, c = _grid_point(p)
     ue, uo, ve, vo = table._views[False]
     i_out, j_out = [], []
+    i_add, j_add = i_out.append, j_out.append
     for _ in range(n):
         if ue[-1] <= c:
             _grow(table, ue, c)
         m = bisect_right(ue, c) - 1
         if d < vo[m]:
-            t, c = divmod(c - ue[m], uo[m])
-            d += ve[m] + t * vo[m]
+            c -= ue[m]
+            if c >= uo[m]:
+                t, c = divmod(c, uo[m])
+                d += t * vo[m]
+            d += ve[m]
         else:
             if not vo or vo[-1] <= d:
                 _grow(table, vo, d)
-            m = bisect_right(vo, d) - 1
-            if c >= ue[m + 1]:
+            m1 = bisect_right(vo, d)
+            u1 = ue[m1]
+            if c >= u1:
                 raise InternalConsistencyError(f"covering argument violated at (c, d) = ({c}, {d})")
-            t, d = divmod(d - vo[m], ve[m + 1])
-            c += uo[m] + t * ue[m + 1]
-        i_out.append(d)
-        j_out.append(c)
+            m = m1 - 1
+            d -= vo[m]
+            v1 = ve[m1]
+            if d >= v1:
+                t, d = divmod(d, v1)
+                c += t * u1
+            c += uo[m]
+        i_add(d)
+        j_add(c)
     return list(map(_point, repeat(GridPoint), zip(i_out, j_out)))

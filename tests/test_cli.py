@@ -6,12 +6,15 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from lattice_succ import GridPoint, cli, sequences, tiling, validate_pair, value
+from lattice_succ import GridPoint, SortedStream, cli, enumerate_sorted, oracle, sequences, tiling, validate_pair, value
 from lattice_succ.cli import BUDGET_ENV_VAR, build_parser, run
+
+from conftest import PAIR_ARGS
 
 
 def invoke(argv):
@@ -278,6 +281,36 @@ def test_verify_fails_on_a_walk_that_skips_a_step(monkeypatch):
     code, out = invoke(VERIFY_ARGS)
     assert code == 1
     assert "FAIL oracle-agreement: 100 successor steps, 60 mismatches" in out.splitlines()
+
+
+@pytest.mark.parametrize("drop,line", [
+    (40, "FAIL oracle-agreement: 100 successor steps, 61 mismatches"),
+    # An oracle one element short that agrees with walk on the rest still fails.
+    (100, "FAIL oracle-agreement: 100 successor steps, 1 mismatches"),
+])
+def test_verify_fails_on_an_oracle_that_drops_an_element(monkeypatch, drop, line):
+    real = oracle._merge
+
+    def dropping(pair, count):
+        ij, vals = real(pair, count)
+        return ij[:drop] + ij[drop + 1:], vals[:drop] + vals[drop + 1:]
+
+    monkeypatch.setattr(oracle, "_merge", dropping)
+    code, out = invoke(VERIFY_ARGS)
+    assert code == 1
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+def test_enumerate_sorted_is_the_merge_made_grid_points(p1, p2):
+    # verify compares walk with the merge's plain tuples; enumerate_sorted's list is unchanged by the split.
+    pair = validate_pair(p1, p2)
+    elems = enumerate_sorted(pair, 500)
+    assert elems == [(q, value(pair, q)) for q in islice(SortedStream(pair), 500)]
+    assert all(type(q) is GridPoint and type(v) is int for q, v in elems)
+    ij, vals = oracle._merge(pair, 500)
+    assert all(type(q) is tuple for q in ij)
+    assert (ij, vals) == ([tuple(q) for q, _ in elems], [v for _, v in elems])
 
 
 def test_verify_fails_on_a_dropped_record(monkeypatch):

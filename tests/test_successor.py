@@ -345,6 +345,86 @@ class TestLookupAgainstTiling:
         assert swept.depth == SWEEP_DEPTHS[(p1, p2)]
 
 
+# Partial quotients near 700: (2, 1025) = [0; 10, 710, 7, ...] and (2, 1023) = [0; 9, 1, 708, ...].
+# Their bands hold hundreds of t >= 1 cells: P bands in the first pair's 300x300 window, A bands in the
+# second's.
+LARGE_QUOTIENT_PAIRS = [(2, 1025), (2, 1023)]
+KINDS = {(family + "~" * tilde, t_above_0) for family in "PA" for tilde in (0, 1) for t_above_0 in (False, True)}
+
+
+def _window_rectangles(pair, W, H, tilde):
+    """The tiling's rectangles on the W x H window, from a table of their own, and that table's convergents."""
+    table = ConvergentTable(pair)
+    rects = rectangles_in_window(table, W, H, tilde=tilde)
+    return rects, table.convergents
+
+
+def _translations(pair, W, H, tilde):
+    """Each cell of the window mapped to the translation (dx, dy) of the tiling rectangle holding it.
+
+    Band (n, t) has the mediant h/k = (h_n + t*h_{n+1}) / (k_n + t*k_{n+1});
+    a P band (n = 2*level) moves by (k, -h), an A band (n = 2*level - 1) by
+    (-k, h), in the source partition and onto the tilde one alike.
+    """
+    rects, hk = _window_rectangles(pair, W, H, tilde)
+    moves = {}
+    for r in rects:
+        p_band = r.family[0] == "P"
+        n = 2 * r.level - (not p_band)
+        h = hk[n][0] + r.band * hk[n + 1][0]
+        k = hk[n][1] + r.band * hk[n + 1][1]
+        move = (k, -h) if p_band else (-k, h)
+        for x in range(max(r.x_min, 0), min(r.x_max + 1, W)):
+            for y in range(max(r.y_min, 0), min(r.y_max + 1, H)):
+                assert (x, y) not in moves, (x, y, r)
+                moves[x, y] = move
+    assert len(moves) == W * H - tilde  # the tilde partition leaves out the origin
+    return moves
+
+
+def _kinds(pair, W, H):
+    """(family, t >= 1) of every rectangle of both partitions on the window."""
+    return {(r.family, r.band > 0) for tilde in (False, True) for r in _window_rectangles(pair, W, H, tilde)[0]}
+
+
+class TestLargePartialQuotients:
+    W = H = 300
+
+    @pytest.mark.parametrize("p1,p2", LARGE_QUOTIENT_PAIRS)
+    def test_every_cell_moves_by_its_tiling_rectangle(self, p1, p2):
+        # next_point carries a source cell by its rectangle's translation, prev_point undoes a tilde one's.
+        pair = validate_pair(p1, p2)
+        table = ConvergentTable(pair)
+        for tilde, query, sign in ((False, next_point, 1), (True, prev_point, -1)):
+            for (x, y), (dx, dy) in _translations(pair, self.W, self.H, tilde).items():
+                assert query(table, GridPoint(x, y)) == (x + sign * dx, y + sign * dy), (tilde, x, y)
+
+    @pytest.mark.parametrize("p1,p2", LARGE_QUOTIENT_PAIRS)
+    def test_next_and_prev_are_inverse_on_the_window(self, p1, p2):
+        table = ConvergentTable(validate_pair(p1, p2))
+        for x in range(self.W):
+            for y in range(self.H):
+                p = GridPoint(x, y)
+                assert prev_point(table, next_point(table, p)) == p
+                if x or y:
+                    assert next_point(table, prev_point(table, p)) == p
+
+    @pytest.mark.parametrize("p1,p2", LARGE_QUOTIENT_PAIRS)
+    def test_walk_equals_iterated_next_point_and_the_oracle(self, p1, p2):
+        pair = validate_pair(p1, p2)
+        walked = walk(ConvergentTable(pair), GridPoint(0, 0), 3000)
+        assert walked == TestWalk.iterated(ConvergentTable(pair), GridPoint(0, 0), 3000)
+        assert walked == [q for q, _ in enumerate_sorted(pair, 3001)[1:]]
+
+    def test_windows_hold_every_cell_kind(self):
+        # The lookup takes its t = 0 arm or its t >= 1 arm in a P cell and in an A cell, in both views.
+        # Each pair of the suite shows all four kinds of both partitions on its own window; the two
+        # large-quotient pairs show them together.
+        for args in PAIR_ARGS:
+            assert _kinds(pair_for(*args), self.W, self.H) == KINDS, args
+        assert _kinds(pair_for(2, 1025), self.W, self.H) | _kinds(pair_for(2, 1023), self.W, self.H) == KINDS
+
+
 class TestTranslation:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_carries_source_onto_tilde(self, p1, p2):
