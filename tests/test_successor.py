@@ -352,21 +352,16 @@ LARGE_QUOTIENT_PAIRS = [(2, 1025), (2, 1023)]
 KINDS = {(family + "~" * tilde, t_above_0) for family in "PA" for tilde in (0, 1) for t_above_0 in (False, True)}
 
 
-def _window_rectangles(pair, W, H, tilde):
-    """The tiling's rectangles on the W x H window, from a table of their own, and that table's convergents."""
-    table = ConvergentTable(pair)
-    rects = rectangles_in_window(table, W, H, tilde=tilde)
-    return rects, table.convergents
-
-
 def _translations(pair, W, H, tilde):
-    """Each cell of the window mapped to the translation (dx, dy) of the tiling rectangle holding it.
+    """Each cell of the W x H window mapped to the translation (dx, dy) of the tiling rectangle holding it.
 
     Band (n, t) has the mediant h/k = (h_n + t*h_{n+1}) / (k_n + t*k_{n+1});
     a P band (n = 2*level) moves by (k, -h), an A band (n = 2*level - 1) by
     (-k, h), in the source partition and onto the tilde one alike.
     """
-    rects, hk = _window_rectangles(pair, W, H, tilde)
+    table = ConvergentTable(pair)
+    rects = rectangles_in_window(table, W, H, tilde=tilde)
+    hk = table.convergents
     moves = {}
     for r in rects:
         p_band = r.family[0] == "P"
@@ -384,7 +379,8 @@ def _translations(pair, W, H, tilde):
 
 def _kinds(pair, W, H):
     """(family, t >= 1) of every rectangle of both partitions on the window."""
-    return {(r.family, r.band > 0) for tilde in (False, True) for r in _window_rectangles(pair, W, H, tilde)[0]}
+    table = ConvergentTable(pair)
+    return {(r.family, r.band > 0) for tilde in (False, True) for r in rectangles_in_window(table, W, H, tilde=tilde)}
 
 
 class TestLargePartialQuotients:
