@@ -35,29 +35,17 @@ def _field(v, dump) -> str:
     return _decimal(v) if type(v) is int else dump(v)
 
 
-def _emit(records: list[dict], columns: list[str], fmt: str, out) -> None:
-    """Write records as JSON lines, or as TSV for the tsv and text formats."""
+def _emit(rows, columns, fmt: str, out) -> None:
+    """Write rows, each a sequence of fields in column order, as JSON lines or as TSV (tsv and text)."""
     if fmt == "json-lines":
         # json.dumps's own layout, with ints written out by _decimal
-        for rec in records:
-            out.write("{" + ", ".join(f"{json.dumps(c)}: {_field(rec[c], json.dumps)}" for c in columns) + "}\n")
+        for row in rows:
+            fields = (f"{json.dumps(c)}: {_field(v, json.dumps)}" for c, v in zip(columns, row))
+            out.write("{" + ", ".join(fields) + "}\n")
     else:
         out.write("\t".join(columns) + "\n")
-        for rec in records:
-            out.write("\t".join(_field(rec[c], str) for c in columns) + "\n")
-
-
-def _emit_point(p: GridPoint, val, fmt: str, out) -> None:
-    if fmt == "text":
-        suffix = f" {_decimal(val)}" if val is not None else ""
-        out.write(f"({p.i},{p.j}){suffix}\n")
-    else:
-        rec = {"i": p.i, "j": p.j}
-        cols = ["i", "j"]
-        if val is not None:
-            rec["value"] = val
-            cols.append("value")
-        _emit([rec], cols, fmt, out)
+        for row in rows:
+            out.write("\t".join(_field(v, str) for v in row) + "\n")
 
 
 def _check_count(flag: str, n: int, least: int = 1) -> None:
@@ -69,20 +57,21 @@ def _check_count(flag: str, n: int, least: int = 1) -> None:
 def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
     _check_count("--depth", args.depth, 0)
     table = ConvergentTable(pair).extend_to(args.depth)
-    records = [
-        {"index": i, "quotient": a, "h": h, "k": k}
-        for i, (a, (h, k)) in enumerate(zip(table.quotients, table.convergents))
-    ]
+    rows = [(i, a, h, k) for i, (a, (h, k)) in enumerate(zip(table.quotients, table.convergents))]
     if args.fmt == "text":
-        out.write("quotients " + " ".join(str(r["quotient"]) for r in records) + "\n")
-    _emit(records, ["index", "quotient", "h", "k"], args.fmt, out)
+        out.write("quotients " + " ".join(str(row[1]) for row in rows) + "\n")
+    _emit(rows, ["index", "quotient", "h", "k"], args.fmt, out)
     return 0
 
 
 def _cmd_step(args: argparse.Namespace, pair, out) -> int:
     step = next_point if args.command == "next" else prev_point
     q = step(ConvergentTable(pair), GridPoint(args.i, args.j))
-    _emit_point(q, value(pair, q) if args.value else None, args.fmt, out)
+    row = (*q, value(pair, q)) if args.value else q
+    if args.fmt == "text":
+        out.write(f"({q.i},{q.j})" + (f" {_decimal(row[2])}" if args.value else "") + "\n")
+    else:
+        _emit([row], ["i", "j", "value"][: len(row)], args.fmt, out)
     return 0
 
 
@@ -90,11 +79,8 @@ def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
     from .oracle import enumerate_sorted
 
     _check_count("--count", args.count)
-    elems = enumerate_sorted(pair, args.count)
-    records = [
-        {"index": idx, "i": p.i, "j": p.j, "value": v} for idx, (p, v) in enumerate(elems)
-    ]
-    _emit(records, ["index", "i", "j", "value"], args.fmt, out)
+    rows = [(idx, *p, v) for idx, (p, v) in enumerate(enumerate_sorted(pair, args.count))]
+    _emit(rows, ["index", "i", "j", "value"], args.fmt, out)
     return 0
 
 
@@ -105,12 +91,12 @@ def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
     _check_count("--height", args.height)
     table = ConvergentTable(pair)
     rects = rectangles_in_window(table, args.width, args.height, tilde=args.tilde)
-    _emit([r._asdict() for r in rects], list(Rectangle._fields), args.fmt, out)
-    if args.svg:
+    if args.svg:  # before the table, so an unwritable path prints nothing but its error
         from .svg import render_tiling_svg  # only this handler draws
 
         with open(args.svg, "w") as fh:
             fh.write(render_tiling_svg(rects, args.width, args.height))
+    _emit(rects, Rectangle._fields, args.fmt, out)
     return 0
 
 
@@ -121,21 +107,9 @@ def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
     first = 1 if family == "A" else 0  # family A starts at level 1
     _check_count("--levels", args.levels, first)
     table = ConvergentTable(pair)
-    records = []
-    for level in range(first, args.levels + 1):
-        w = large_gap(table, level, family=family)
-        records.append(
-            {
-                "level": w.level,
-                "family": w.family,
-                "i": w.point.i,
-                "j": w.point.j,
-                "succ_i": w.succ.i,
-                "succ_j": w.succ.j,
-                "gap": w.gap,
-            }
-        )
-    _emit(records, ["level", "family", "i", "j", "succ_i", "succ_j", "gap"], args.fmt, out)
+    witnesses = [large_gap(table, level, family=family) for level in range(first, args.levels + 1)]
+    rows = [(w.level, w.family, *w.point, *w.succ, w.gap) for w in witnesses]
+    _emit(rows, ["level", "family", "i", "j", "succ_i", "succ_j", "gap"], args.fmt, out)
     return 0
 
 
@@ -158,15 +132,13 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     from .tiling import verify_partition
 
     table = ConvergentTable(pair)
-    records: list[dict] = []
-
-    def suite(name: str, ok: bool, detail: str) -> None:
-        records.append({"suite": name, "ok": ok, "detail": detail})
+    records: list[tuple[str, bool, str]] = []
+    suite = records.append
 
     src = verify_partition(table, W, H, tilde=False)
-    suite("partition-source", src.ok, f"{src.rectangle_count} rectangles on {W}x{H}")
+    suite(("partition-source", src.ok, f"{src.rectangle_count} rectangles on {W}x{H}"))
     tld = verify_partition(table, W, H, tilde=True)
-    suite("partition-tilde", tld.ok, f"{tld.rectangle_count} rectangles on {W}x{H}")
+    suite(("partition-tilde", tld.ok, f"{tld.rectangle_count} rectangles on {W}x{H}"))
 
     # walk's points against the oracle's exponent pairs, which are plain tuples: a GridPoint
     # equals its tuple. Both lists follow (0, 0), so they agree iff every oracle step is next_point's.
@@ -175,24 +147,25 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     mismatches = 0
     if walked != stepped:
         mismatches = abs(len(walked) - len(stepped)) + sum(1 for p, q in zip(walked, stepped) if p != q)
-    suite("oracle-agreement", mismatches == 0, f"{scan} successor steps, {mismatches} mismatches")
+    suite(("oracle-agreement", mismatches == 0, f"{scan} successor steps, {mismatches} mismatches"))
 
     fg = verify_fg_at_convergents(table, depth)
-    suite("fg-identities", fg.ok, f"{fg.checked} identities" + ("" if fg.ok else f"; {fg.failures[0]}"))
+    suite(("fg-identities", fg.ok, f"{fg.checked} identities" + ("" if fg.ok else f"; {fg.failures[0]}")))
 
     chains = verify_monotone_fractional_chains(table, depth)
-    suite("monotone-chains", chains.ok, f"{chains.checked} links" + ("" if chains.ok else f"; {chains.failures[0]}"))
+    detail = f"{chains.checked} links" + ("" if chains.ok else f"; {chains.failures[0]}")
+    suite(("monotone-chains", chains.ok, detail))
 
     got = minimal_fractional_subsequences(table, scan)
     want = predicted_record_indices(table, scan)
-    suite("record-subsequences", got == want, f"scan N={scan}")
+    suite(("record-subsequences", got == want, f"scan N={scan}"))
 
     if args.fmt == "text":
-        for rec in records:
-            out.write(f"{'PASS' if rec['ok'] else 'FAIL'} {rec['suite']}: {rec['detail']}\n")
+        for name, ok, detail in records:
+            out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
     else:
         _emit(records, ["suite", "ok", "detail"], args.fmt, out)
-    return 0 if all(rec["ok"] for rec in records) else 1
+    return 0 if all(ok for _, ok, _ in records) else 1
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -208,7 +181,9 @@ def build_parser(budget_default: str) -> argparse.ArgumentParser:
     """The argument parser, built once per --bit-budget default string.
 
     argparse converts that default at parse time, so a non-integer one exits 2.
-    Its `commands` attribute maps each subcommand name to that subcommand's parser.
+    Each subcommand's parser sets the default `handler`, the function that `run`
+    calls with the parsed arguments, the checked pair and the output stream.
+    The parser's `commands` attribute maps each subcommand name to that parser.
     """
     parser = argparse.ArgumentParser(
         prog="lattice-succ",
@@ -217,7 +192,8 @@ def build_parser(budget_default: str) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--p1", type=int, required=True, help="smaller generator (> 1)")
         p.add_argument("--p2", type=int, required=True, help="larger generator (> p1)")
         p.add_argument("--format", choices=FORMATS, default="text", dest="fmt")
@@ -229,51 +205,40 @@ def build_parser(budget_default: str) -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("cf", help="partial quotients and convergent table")
-    common(p)
+    common(p, _cmd_cf)
     p.add_argument("--depth", type=int, default=10)
 
     for name, hlp in (("next", "successor coordinates"), ("prev", "predecessor coordinates")):
         p = sub.add_parser(name, help=hlp)
-        common(p)
+        common(p, _cmd_step)
         p.add_argument("--i", type=int, required=True, help="exponent of p1")
         p.add_argument("--j", type=int, required=True, help="exponent of p2")
         p.add_argument("--value", action="store_true", help="also print the exact integer")
 
     p = sub.add_parser("enum", help="first elements of S in sorted order")
-    common(p)
+    common(p, _cmd_enum)
     p.add_argument("--count", type=int, default=20)
 
     p = sub.add_parser("tile", help="rectangle decomposition over a window")
-    common(p)
+    common(p, _cmd_tile)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--tilde", action="store_true", help="translated (next-number) family")
     p.add_argument("--svg", type=str, default=None, help="also write an SVG figure")
 
     p = sub.add_parser("gaps", help="large-gap witnesses per level")
-    common(p)
+    common(p, _cmd_gaps)
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("--family", choices=("A", "P"), default="A")
 
     p = sub.add_parser("verify", help="run every property suite")
-    common(p)
+    common(p, _cmd_verify)
     p.add_argument("--window", type=_parse_window, default=(100, 100), help="WxH, e.g. 200x200")
     p.add_argument("--scan", type=int, default=500)
     p.add_argument("--depth", type=int, default=8)
 
     parser.commands = sub.choices
     return parser
-
-
-_COMMANDS = {
-    "cf": _cmd_cf,
-    "next": _cmd_step,
-    "prev": _cmd_step,
-    "enum": _cmd_enum,
-    "tile": _cmd_tile,
-    "gaps": _cmd_gaps,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv=None, out=None) -> int:
@@ -293,7 +258,7 @@ def run(argv=None, out=None) -> int:
         args.command = argv[0]
     try:
         pair = validate_pair(args.p1, args.p2, args.bit_budget)
-        return _COMMANDS[args.command](args, pair, out)
+        return args.handler(args, pair, out)
     except BrokenPipeError:
         raise  # the reader of the output left; main exits quietly
     except (LatticeError, ValueError, OSError) as exc:

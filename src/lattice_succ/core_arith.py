@@ -14,7 +14,9 @@ is one floor on top: a guess from logs sized by the answer, certified by two
 exact signs.
 
 `GeneratorPair` checks the paper's hypothesis when it is built, so alpha is
-irrational and `_affine_sign`'s tie check is only a safety check.
+irrational: p1**dk == p2**dn with dk, dn >= 1 needs a common base, which the
+constructor refuses. `_affine_sign` meets such a tie only on a pair built
+around the constructor, and raises InternalConsistencyError for it.
 
 Points live here too, for queries and verifiers alike: `GridPoint`, `_grid_point`
 and `value` with `_check_value_budget`, the one rule for p1**i * p2**j's bits.
@@ -91,7 +93,8 @@ class GeneratorPair:
 
     A field without __index__ raises NonIntegerArgument, p1, p2 out of order or
     a bit budget below 1 OrderViolation, and powers of one base (alpha rational)
-    RationalLogRatio. Frozen: assigning to an instance raises AttributeError.
+    RationalLogRatio, so no comparison of a built pair ends in a tie.
+    Frozen: assigning to an instance raises AttributeError.
     Equality and hashing use (p1, p2, bit_budget); `_log2`, the two base-2
     logs, is derived from them.
     """
@@ -243,10 +246,8 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
     if bits > budget:
         raise BudgetExceeded(f"power comparison needs ~{bits:.0f} bits, budget is {budget}")
     lhs, rhs = pair.p1**dk, pair.p2**dn
-    if lhs == rhs:
-        raise RationalLogRatio(
-            f"p1**{dk} == p2**{dn}: generators are not multiplicatively independent"
-        )
+    if lhs == rhs:  # a common base, which GeneratorPair refuses
+        raise InternalConsistencyError(f"p1**{dk} == p2**{dn}: the pair was not built by GeneratorPair")
     return s if lhs > rhs else -s
 
 

@@ -11,7 +11,6 @@ from math import inf
 
 from .cf_engine import ConvergentTable, _bands, _last
 from .core_arith import (
-    EQUAL,
     _FLOAT_ABS_MARGIN,
     _FLOAT_REL_MARGIN,
     GREATER,
@@ -19,7 +18,6 @@ from .core_arith import (
     AffineForm,
     BudgetExceeded,
     GeneratorPair,
-    InternalConsistencyError,
     InvalidArgument,
     _affine_sign,
     _check_value_budget,
@@ -143,8 +141,7 @@ def minimal_fractional_subsequences(
     z_n = f(n)*alpha - n with z_0 = alpha seeding the minimum; a record is a
     strictly smaller value than everything before it. Since y_n = alpha - z_n,
     a y record is a strict running maximum of z, so one z stream gives both
-    lists. Returns the two index lists. A tie between distinct indices is
-    impossible for irrational alpha and raises InternalConsistencyError.
+    lists. Returns the two index lists.
 
     The scan carries u = f(n)*lp1 - n*lp2 = z_n*log2(p2) as a float, where
     (lp1, lp2) = pair._log2, and builds no power: each step subtracts lp2,
@@ -203,21 +200,14 @@ def minimal_fractional_subsequences(
         if u <= margin:  # the sign of u, so f(n), is in doubt
             fn = f(pair, n)
             u = fn * lp1 - n * lp2
-        if u < min_hi:
-            c = LESS if u < min_lo else _affine_sign(pair, fn - k_min, n - n_min)
-            if c == LESS:
-                min_lo, min_hi, k_min, n_min = u - twice, u + twice, fn, n
-                n_records.append(n)
-                continue
-            if c == EQUAL:
-                raise InternalConsistencyError(f"z_{n} ties the running minimum")
-        if u > max_lo:
-            c = GREATER if u > max_hi else _affine_sign(pair, fn - k_max, n - n_max)
-            if c == GREATER:
-                max_lo, max_hi, k_max, n_max = u - twice, u + twice, fn, n
-                m_records.append(n)
-            elif c == EQUAL:
-                raise InternalConsistencyError(f"y_{n} ties the running minimum")
+        # n - n_min, n - n_max >= 1: _affine_sign answers LESS or GREATER, never a tie.
+        if u < min_hi and (u < min_lo or _affine_sign(pair, fn - k_min, n - n_min) == LESS):
+            min_lo, min_hi, k_min, n_min = u - twice, u + twice, fn, n
+            n_records.append(n)
+            continue
+        if u > max_lo and (u > max_hi or _affine_sign(pair, fn - k_max, n - n_max) == GREATER):
+            max_lo, max_hi, k_max, n_max = u - twice, u + twice, fn, n
+            m_records.append(n)
     return n_records, m_records
 
 

@@ -110,14 +110,11 @@ def test_tile_output_and_svg(tmp_path):
 
 
 def test_tile_unwritable_svg_exits_2(tmp_path, capsys):
-    code, _ = invoke(
-        [
-            "tile", "--p1", "2", "--p2", "3", "--width", "5", "--height", "5",
-            "--svg", str(tmp_path / "missing" / "tiles.svg"),
-        ]
-    )
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # A missing directory and a directory itself: the error line is all the output.
+    for svg in (tmp_path / "missing" / "tiles.svg", tmp_path):
+        code, out = invoke(["tile", "--p1", "2", "--p2", "3", "--width", "5", "--height", "5", "--svg", str(svg)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _console(argv, **kwargs):
@@ -155,10 +152,10 @@ def test_output_that_fits_the_buffer_meets_a_closed_pipe_quietly():
 def test_unwritable_svg_exits_2_in_its_own_process(tmp_path):
     proc = _console(
         ["tile", "--p1", "2", "--p2", "3", "--width", "5", "--height", "5", "--svg", str(tmp_path / "missing" / "t.svg")],
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
     )
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
@@ -476,3 +473,37 @@ def test_verify_output_over_the_benchmark_argvs_is_unchanged():
         code, out = invoke(argv)
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "aa07ba697d20d4c172cac60aa02164ee640afcb26d12a7e113aa356d8946a5d5"
+
+
+def _cli_argvs() -> list[list[str]]:
+    """Every subcommand on (2, 3) in each format, plus a digit-limit value and two refusals."""
+    pair = ["--p1", "2", "--p2", "3"]
+    argvs = []
+    for fmt in cli.FORMATS:
+        for argv in (
+            ["cf", "--depth", "12"],
+            ["next", "--i", "18", "--j", "4"],
+            ["next", "--i", "3", "--j", "2", "--value"],
+            ["prev", "--i", "0", "--j", "4", "--value"],
+            ["prev", "--i", "0", "--j", "0"],
+            ["next", "--i", "20000", "--j", "0", "--value"],
+            ["enum", "--count", "30"],
+            ["tile", "--width", "30", "--height", "30"],
+            ["tile", "--width", "30", "--height", "30", "--tilde"],
+            ["gaps", "--levels", "5", "--family", "A"],
+            ["gaps", "--levels", "4", "--family", "P"],
+            ["verify", "--window", "40x40", "--scan", "100", "--depth", "6"],
+        ):
+            argvs.append([*argv[:1], *pair, *argv[1:], "--format", fmt])
+        argvs.append(["next", "--p1", "4", "--p2", "8", "--i", "1", "--j", "1", "--format", fmt])
+    return argvs
+
+
+def test_cli_output_over_every_subcommand_and_format_is_unchanged(capsys):
+    # Digest of each argv's exit status, stdout and stderr, recorded before the
+    # output records became rows in column order.
+    digest = hashlib.sha256()
+    for argv in _cli_argvs():
+        code, out = invoke(argv)
+        digest.update(f"{argv}\n{code}\n{out}\n{capsys.readouterr().err}".encode())
+    assert digest.hexdigest() == "2fde39380567af98fd358fee2e30fa82ff9fb2cadfe903d1eff5ee94b972a6a1"

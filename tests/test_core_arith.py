@@ -628,7 +628,8 @@ class TestCertifiedLogPath:
     def test_dependent_pair_ends_in_a_tie(self, dk, dn):
         # A dependent pair, built around the checking constructor: the logs
         # never separate, and the big-integer fallback finds p1**dk == p2**dn
-        # once the logs pass about 512 digits. Run apart, so logs that keep
+        # once the logs pass about 512 digits. A checked pair cannot get here,
+        # so the tie is an internal error, not a refusal of the user's pair. Run apart, so logs that keep
         # widening fail the test at the timeout instead of holding the suite.
         code = (
             "import math\n"
@@ -642,8 +643,8 @@ class TestCertifiedLogPath:
             "core_arith._log_sign = lambda *args: signs.append(log_sign(*args)) or signs[-1]\n"
             "try:\n"
             f"    core_arith._affine_sign(pair, {dk}, {dn})\n"
-            "except core_arith.RationalLogRatio:\n"
-            "    print('RationalLogRatio', len(signs), all(sign == core_arith.EQUAL for sign in signs))\n"
+            "except core_arith.InternalConsistencyError:\n"
+            "    print('InternalConsistencyError', len(signs), all(sign == core_arith.EQUAL for sign in signs))\n"
         )
         src = str(Path(lattice_succ.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -651,7 +652,7 @@ class TestCertifiedLogPath:
             capture_output=True, text=True, timeout=60, cwd=src, check=True,
         )
         tie, calls, undecided = done.stdout.split()
-        assert (tie, undecided) == ("RationalLogRatio", "True")
+        assert (tie, undecided) == ("InternalConsistencyError", "True")
         assert (int(calls) > 0) == (dk > 2)
 
     def test_import_does_not_load_decimal(self):
