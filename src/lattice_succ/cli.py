@@ -9,7 +9,7 @@ import sys
 from functools import lru_cache
 
 from .cf_engine import ConvergentTable
-from .core_arith import DEFAULT_BIT_BUDGET, _SPLIT_BITS, GridPoint, LatticeError, validate_pair, value
+from .core_arith import DEFAULT_BIT_BUDGET, _SPLIT_BITS, GridPoint, LatticeError, _count, validate_pair, value
 from .successor import next_point, prev_point, walk
 
 # The handlers of enum, tile, gaps and verify import the verifier modules
@@ -48,15 +48,8 @@ def _emit(rows, columns, fmt: str, out) -> None:
             out.write("\t".join(_field(v, str) for v in row) + "\n")
 
 
-def _check_count(flag: str, n: int, least: int = 1) -> None:
-    """Refuse a count below least (0 or 1), the smallest that gives output; the error names the flag."""
-    if n < least:
-        raise ValueError(f"{flag} must be {('non-negative', 'positive')[least]}, got {n}")
-
-
 def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
-    _check_count("--depth", args.depth, 0)
-    table = ConvergentTable(pair).extend_to(args.depth)
+    table = ConvergentTable(pair).extend_to(_count(args.depth, "--depth", 0))
     rows = [(i, a, h, k) for i, (a, (h, k)) in enumerate(zip(table.quotients, table.convergents))]
     if args.fmt == "text":
         out.write("quotients " + " ".join(str(row[1]) for row in rows) + "\n")
@@ -78,8 +71,7 @@ def _cmd_step(args: argparse.Namespace, pair, out) -> int:
 def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
     from .oracle import enumerate_sorted
 
-    _check_count("--count", args.count)
-    rows = [(idx, *p, v) for idx, (p, v) in enumerate(enumerate_sorted(pair, args.count))]
+    rows = [(idx, *p, v) for idx, (p, v) in enumerate(enumerate_sorted(pair, _count(args.count, "--count", 1)))]
     _emit(rows, ["index", "i", "j", "value"], args.fmt, out)
     return 0
 
@@ -87,15 +79,13 @@ def _cmd_enum(args: argparse.Namespace, pair, out) -> int:
 def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
     from .tiling import Rectangle, rectangles_in_window
 
-    _check_count("--width", args.width)
-    _check_count("--height", args.height)
-    table = ConvergentTable(pair)
-    rects = rectangles_in_window(table, args.width, args.height, tilde=args.tilde)
+    W, H = _count(args.width, "--width", 1), _count(args.height, "--height", 1)
+    rects = rectangles_in_window(ConvergentTable(pair), W, H, tilde=args.tilde)
     if args.svg:  # before the table, so an unwritable path prints nothing but its error
         from .svg import render_tiling_svg  # only this handler draws
 
         with open(args.svg, "w") as fh:
-            fh.write(render_tiling_svg(rects, args.width, args.height))
+            fh.write(render_tiling_svg(rects, W, H))
     _emit(rects, Rectangle._fields, args.fmt, out)
     return 0
 
@@ -105,9 +95,9 @@ def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
 
     family = args.family
     first = 1 if family == "A" else 0  # family A starts at level 1
-    _check_count("--levels", args.levels, first)
+    levels = _count(args.levels, "--levels", first)
     table = ConvergentTable(pair)
-    witnesses = [large_gap(table, level, family=family) for level in range(first, args.levels + 1)]
+    witnesses = [large_gap(table, level, family=family) for level in range(first, levels + 1)]
     rows = [(w.level, w.family, *w.point, *w.succ, w.gap) for w in witnesses]
     _emit(rows, ["level", "family", "i", "j", "succ_i", "succ_j", "gap"], args.fmt, out)
     return 0
@@ -117,10 +107,7 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     W, H = args.window
     if W < 1 or H < 1:
         raise ValueError(f"--window must be positive, got {W}x{H}")
-    scan = args.scan
-    depth = args.depth
-    _check_count("--scan", scan)
-    _check_count("--depth", depth)
+    scan, depth = _count(args.scan, "--scan", 1), _count(args.depth, "--depth", 1)
 
     from .oracle import _merge
     from .sequences import (

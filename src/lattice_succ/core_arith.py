@@ -192,6 +192,19 @@ def _integer(x, name: str) -> int:
         raise NonIntegerArgument(f"{name} must be an integer, got {_show(x)}") from None
 
 
+def _count(x, name: str, least: int) -> int:
+    """x as a Python int of at least `least` (0 or 1): the one rule for every count and size.
+
+    Anything without __index__ raises NonIntegerArgument, and an int below
+    least InvalidArgument: "<name> must be non-negative" (least 0) or
+    "<name> must be positive" (least 1), then ", got <x>" with x shown by `_show`.
+    """
+    x = _integer(x, name)
+    if x < least:
+        raise InvalidArgument(f"{name} must be {('non-negative', 'positive')[least]}, got {_show(x)}")
+    return x
+
+
 def _check_pair(pair, user: str) -> None:
     """Refuse anything but a GeneratorPair with NonIntegerArgument, naming the user."""
     if not isinstance(pair, GeneratorPair):
@@ -312,9 +325,7 @@ def f(pair: GeneratorPair, n: int) -> int:
     `verify_fg_at_convergents` checks against f.
     """
     _check_pair(pair, "f")
-    n = _integer(n, "n")
-    if n < 1:
-        raise InvalidArgument(f"n must be positive, got {_show(n)}")
+    n = _count(n, "n", 1)
     lp1, lp2 = pair._log2
     if n < _FLOAT_GUESS_MAX * lp1 / lp2:  # an int-float compare, exact for any n
         k = int(n * lp2 / lp1) + 1

@@ -16,7 +16,7 @@ from itertools import repeat
 
 from .core_arith import (
     LESS, ZERO_FORM, AffineForm, GeneratorPair, GridPoint, InvalidArgument, _check_pair,
-    _check_value_budget, _grid_point, _integer, _point, _show, compare_affine, value,
+    _check_value_budget, _count, _grid_point, _point, _show, compare_affine, value,
 )
 
 
@@ -77,9 +77,7 @@ def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, i
     The list is `_merge`'s, with each exponent pair made a GridPoint.
     """
     _check_pair(pair, "enumerate_sorted")
-    count = _integer(count, "count")
-    if count < 1:
-        raise InvalidArgument(f"count must be positive, got {_show(count)}")
+    count = _count(count, "count", 1)
     ij, vals = _merge(pair, count)
     return list(zip(map(_point, repeat(GridPoint), ij), vals))
 

@@ -21,6 +21,7 @@ from .core_arith import (
     InvalidArgument,
     _affine_sign,
     _check_value_budget,
+    _count,
     _integer,
     _show,
     f,
@@ -163,9 +164,7 @@ def minimal_fractional_subsequences(
     The exact fallbacks may still build powers below p2**(N+1), which the
     bit budget must allow. An N whose error bound is past float range is refused.
     """
-    N = _integer(N, "N")
-    if N < 1:
-        raise InvalidArgument(f"N must be positive, got {_show(N)}")
+    N = _count(N, "N", 1)
     pair = table.pair
     try:
         _check_value_budget(pair, 0, N + 1)
@@ -219,9 +218,7 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
     a_{2i+1} times (i >= 1). These walks visit exactly the even and the odd
     mediant chains over h. N < 1 raises InvalidArgument, as the record scan does.
     """
-    N = _integer(N, "N")
-    if N < 1:
-        raise InvalidArgument(f"N must be positive, got {_show(N)}")
+    N = _count(N, "N", 1)
     n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]
     m_chain = [h for _, _, h, _ in _bands(table, "h", 1, N + 1)]
     return n_chain, m_chain

@@ -21,8 +21,7 @@ from itertools import repeat
 
 from .cf_engine import ConvergentTable, _grow
 from .core_arith import (  # GridPoint and value stay bound here for pickles and imports naming this module
-    GridPoint, InternalConsistencyError, InvalidArgument, NoPredecessor,
-    _grid_point, _integer, _point, _show, value,
+    GridPoint, InternalConsistencyError, NoPredecessor, _count, _grid_point, _point, value,
 )
 
 
@@ -105,9 +104,7 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     branch for c < u_0, which only the tilde view takes, is left out. The
     GridPoints are built in one pass at the end.
     """
-    n = _integer(n, "n")
-    if n < 0:
-        raise InvalidArgument(f"step count must be non-negative, got {_show(n)}")
+    n = _count(n, "n", 0)
     d, c = _grid_point(p)
     ue, uo, ve, vo = table._views[False]
     i_out, j_out = [], []

@@ -21,7 +21,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _bands
-from .core_arith import GridPoint, InvalidArgument, _grid_point, _integer, _show, value
+from .core_arith import GridPoint, InvalidArgument, _count, _grid_point, _integer, _show, value
 from .successor import next_point, prev_point
 
 _record = tuple.__new__  # _record(Rectangle, fields) skips the Python-level NamedTuple __new__
@@ -127,9 +127,7 @@ def rectangles_in_window(
     A bands over the odd k and P bands over the even h; the tilde partition
     swaps h and k.
     """
-    W, H = _integer(W, "W"), _integer(H, "H")
-    if W < 1 or H < 1:
-        raise InvalidArgument(f"window must be positive, got {_show(W)}x{_show(H)}")
+    W, H = _count(W, "W", 1), _count(H, "H", 1)
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     return [
         _band_rectangle(table, family, n, t, k if seq == "k" else h, seq == "k")
@@ -224,12 +222,10 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
     The successor follows from the rectangle translation; the gap is the
     exact integer difference of the two values.
     """
-    i = _integer(level, "level")
     if family not in ("A", "P"):
         raise InvalidArgument(f"unknown family {_show(family)}")
     least = 1 if family == "A" else 0
-    if i < least:
-        raise InvalidArgument(f"{family}-family witnesses need level >= {least}")
+    i = _count(level, "level", least)
     n = 2 * i - least  # A bands have odd n, P bands even n
     table.extend_to(n + 2)
     # The last band, t = a_{n+2} - 1, starts at u_{n+2} - u_{n+1}, with u = k for A and h for P.
