@@ -29,6 +29,7 @@ from .core_arith import (
     GeneratorPair,
     InvalidArgument,
     LatticeError,
+    NonIntegerArgument,
     _check_pair,
     _integer,
     _ln,
@@ -168,6 +169,16 @@ class ConvergentTable:
         if len(cf) > len(self._cf):
             self._cf = cf
         self._prec = prec
+
+
+def _check_table(table, user: str) -> None:
+    """Refuse anything but a ConvergentTable with NonIntegerArgument, naming the user, as `_check_pair` does pairs.
+
+    The queries call it only when reading the table's views fails, so the
+    error is raised without the AttributeError as its context.
+    """
+    if not isinstance(table, ConvergentTable):
+        raise NonIntegerArgument(f"{user} needs a ConvergentTable, got {_show(table)}") from None
 
 
 def _shared_quotients(n1: int, d1: int, n2: int, d2: int) -> list[int]:

@@ -205,6 +205,13 @@ def _count(x, name: str, least: int) -> int:
     return x
 
 
+def _form(u, name: str, user: str) -> tuple[int, int]:
+    """u's (coeff, const) as ints; anything but an AffineForm, or a field without __index__, raises NonIntegerArgument."""
+    if not isinstance(u, AffineForm):
+        raise NonIntegerArgument(f"{user} needs AffineForms, got {_show(u)}")
+    return _integer(u.coeff, f"{name}.coeff"), _integer(u.const, f"{name}.const")
+
+
 def _check_pair(pair, user: str) -> None:
     """Refuse anything but a GeneratorPair with NonIntegerArgument, naming the user."""
     if not isinstance(pair, GeneratorPair):
@@ -307,11 +314,8 @@ def compare_affine(pair: GeneratorPair, u: AffineForm, v: AffineForm) -> int:
     EQUAL only for component-wise equal forms (irrationality of alpha).
     """
     _check_pair(pair, "compare_affine")
-    if not (isinstance(u, AffineForm) and isinstance(v, AffineForm)):
-        raise NonIntegerArgument(f"compare_affine needs two AffineForms, got {_show(u)} and {_show(v)}")
-    dk = _integer(u.coeff, "u.coeff") - _integer(v.coeff, "v.coeff")
-    dn = _integer(u.const, "u.const") - _integer(v.const, "v.const")
-    return _affine_sign(pair, dk, dn)
+    (k1, n1), (k2, n2) = _form(u, "u", "compare_affine"), _form(v, "v", "compare_affine")
+    return _affine_sign(pair, k1 - k2, n1 - n2)
 
 
 def f(pair: GeneratorPair, n: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .cf_engine import ConvergentTable, _bands, _last
+from .cf_engine import ConvergentTable, _bands, _check_table, _last
 from .core_arith import (
     _FLOAT_ABS_MARGIN,
     _FLOAT_REL_MARGIN,
@@ -19,9 +19,12 @@ from .core_arith import (
     BudgetExceeded,
     GeneratorPair,
     InvalidArgument,
+    NonIntegerArgument,
     _affine_sign,
+    _check_pair,
     _check_value_budget,
     _count,
+    _form,
     _integer,
     _show,
     f,
@@ -56,6 +59,7 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
     The odd family checks both ends of each band, so an inner odd convergent
     is checked twice.
     """
+    _check_table(table, "verify_fg_at_convergents")
     max_index = _integer(max_index, "max_index")
     table.extend_to(max_index + 1)
     pair = table.pair
@@ -85,8 +89,15 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
 
 
 def check_strictly_decreasing(pair: GeneratorPair, forms: list[AffineForm]) -> VerifyReport:
-    """Verify forms[0] > forms[1] > ... exactly; report the first bad link."""
-    return _decreasing(pair, [(_integer(u.coeff, "coeff"), _integer(u.const, "const")) for u in forms])
+    """Verify forms[0] > forms[1] > ... exactly; report the first bad link.
+
+    The pair and each form are checked as `compare_affine` checks them, and
+    forms must be a list or tuple; anything else raises NonIntegerArgument.
+    """
+    _check_pair(pair, "check_strictly_decreasing")
+    if not isinstance(forms, (list, tuple)):
+        raise NonIntegerArgument(f"check_strictly_decreasing needs a list or tuple of AffineForms, got {_show(forms)}")
+    return _decreasing(pair, [_form(u, f"forms[{n}]", "check_strictly_decreasing") for n, u in enumerate(forms)])
 
 
 def _decreasing(pair: GeneratorPair, forms: list[tuple[int, int]]) -> VerifyReport:
@@ -121,6 +132,7 @@ def verify_monotone_fractional_chains(table: ConvergentTable, max_index: int) ->
     Ceil parts h - k*alpha along the odd-anchored chain, floor parts
     k*alpha - h along the even-anchored chain.
     """
+    _check_table(table, "verify_monotone_fractional_chains")
     max_index = max(_integer(max_index, "max_index"), 1)
     table.extend_to(max_index)
     pair = table.pair
@@ -164,6 +176,7 @@ def minimal_fractional_subsequences(
     The exact fallbacks may still build powers below p2**(N+1), which the
     bit budget must allow. An N whose error bound is past float range is refused.
     """
+    _check_table(table, "minimal_fractional_subsequences")
     N = _count(N, "N", 1)
     pair = table.pair
     try:
@@ -218,6 +231,7 @@ def predicted_record_indices(table: ConvergentTable, N: int) -> tuple[list[int],
     a_{2i+1} times (i >= 1). These walks visit exactly the even and the odd
     mediant chains over h. N < 1 raises InvalidArgument, as the record scan does.
     """
+    _check_table(table, "predicted_record_indices")
     N = _count(N, "N", 1)
     n_chain = [h for _, _, h, _ in _bands(table, "h", 0, N + 1)][1:]
     m_chain = [h for _, _, h, _ in _bands(table, "h", 1, N + 1)]

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from itertools import islice
 from typing import NamedTuple
 
-from .cf_engine import ConvergentTable, _bands
+from .cf_engine import ConvergentTable, _bands, _check_table
 from .core_arith import GridPoint, InvalidArgument, _count, _grid_point, _integer, _show, value
 from .successor import next_point, prev_point
 
@@ -105,6 +105,7 @@ def _translated_band(table: ConvergentTable, dx: int, dy: int, tilde: bool) -> R
 
 def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The source rectangle ("A" or "P") holding p, as `rectangles_in_window` reports it."""
+    _check_table(table, "locate")
     p = _grid_point(p)
     q = next_point(table, p)
     return _translated_band(table, q.i - p.i, q.j - p.j, False)
@@ -112,6 +113,7 @@ def locate(table: ConvergentTable, p: GridPoint) -> Rectangle:
 
 def locate_tilde(table: ConvergentTable, p: GridPoint) -> Rectangle:
     """The translated rectangle ("A~" or "P~") holding p != (0, 0), as `rectangles_in_window` reports it."""
+    _check_table(table, "locate_tilde")
     p = _grid_point(p)
     q = prev_point(table, p)
     return _translated_band(table, p.i - q.i, p.j - q.j, True)
@@ -127,6 +129,7 @@ def rectangles_in_window(
     A bands over the odd k and P bands over the even h; the tilde partition
     swaps h and k.
     """
+    _check_table(table, "rectangles_in_window")
     W, H = _count(W, "W", 1), _count(H, "H", 1)
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     return [
@@ -152,6 +155,7 @@ def verify_partition(
     doubly covered, and expanded into its wrong cells, x then y ascending, up
     to 20 violations.
     """
+    _check_table(table, "verify_partition")
     W, H = _integer(W, "W"), _integer(H, "H")
     rects = rectangles_in_window(table, W, H, tilde)
     clipped = []
@@ -222,6 +226,7 @@ def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitne
     The successor follows from the rectangle translation; the gap is the
     exact integer difference of the two values.
     """
+    _check_table(table, "large_gap")
     if family not in ("A", "P"):
         raise InvalidArgument(f"unknown family {_show(family)}")
     least = 1 if family == "A" else 0

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import re
@@ -42,7 +43,9 @@ from lattice_succ import (
 )
 
 from lattice_succ import successor
-from lattice_succ.core_arith import _check_value_budget
+from lattice_succ.cli import build_parser
+from lattice_succ.core_arith import DEFAULT_BIT_BUDGET, _check_value_budget
+from lattice_succ.sequences import check_strictly_decreasing
 
 from conftest import PAIR_ARGS, pair_for, table_for
 
@@ -460,6 +463,23 @@ class TestValue:
 _pair23 = validate_pair(2, 3)
 _table23 = table_for(2, 3)
 
+# Every public function that takes a table, with the arguments after it.
+_TABLE_TAKERS = [
+    (next_point, ((1, 1),)),
+    (prev_point, ((1, 1),)),
+    (walk, ((0, 0), 3)),
+    (locate, ((1, 1),)),
+    (locate_tilde, ((1, 1),)),
+    (rectangles_in_window, (5, 5)),
+    (verify_partition, (5, 5)),
+    (large_gap, (1,)),
+    (verify_fg_at_convergents, (3,)),
+    (verify_monotone_fractional_chains, (3,)),
+    (minimal_fractional_subsequences, (10,)),
+    (predicted_record_indices, (10,)),
+]
+_NOT_TABLES = [("pair", _pair23), ("None", None)]
+
 
 @pytest.mark.parametrize(
     "fn,args",
@@ -507,6 +527,18 @@ _table23 = table_for(2, 3)
         ),
         pytest.param(next_point, (_table23, (10**5000, 1, 2)), id="next_point-point_past_str_limit"),
         pytest.param(GridPoint, ([10**5000], 0), id="GridPoint-i_past_str_limit"),
+        # A table that is not a ConvergentTable.
+        *(
+            pytest.param(fn, (table, *rest), id=f"{fn.__name__}-table_{label}")
+            for fn, rest in _TABLE_TAKERS
+            for label, table in _NOT_TABLES
+        ),
+        # check_strictly_decreasing checks its pair and forms as compare_affine does.
+        pytest.param(check_strictly_decreasing, (_pair23, [(1, 2), (0, 0)]), id="check_strictly_decreasing-form_tuple"),
+        pytest.param(check_strictly_decreasing, (_pair23, None), id="check_strictly_decreasing-forms_None"),
+        pytest.param(
+            check_strictly_decreasing, (None, [AffineForm(1, 0), AffineForm(0, 0)]), id="check_strictly_decreasing-pair_None"
+        ),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v[1:]),
 )
@@ -555,6 +587,75 @@ def test_out_of_range_arguments_are_typed(call):
     with pytest.raises(InvalidArgument) as exc:
         call()
     assert isinstance(exc.value, LatticeError) and isinstance(exc.value, ValueError)
+
+
+class _Index:
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def _cli_handler(argv, attr):
+    """Call the handler of a parsed CLI argv with its count attribute set to x; run() is not in the way."""
+
+    def call(x):
+        args = build_parser(str(DEFAULT_BIT_BUDGET)).parse_args(argv[:1] + ["--p1", "2", "--p2", "3"] + argv[1:])
+        setattr(args, attr, x)
+        return args.handler(args, _pair23, io.StringIO())
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "call,name,least",
+    [
+        (lambda x: f(_pair23, x), "n", 1),
+        (lambda x: walk(_table23, (0, 0), x), "n", 0),
+        (lambda x: enumerate_sorted(_pair23, x), "count", 1),
+        (lambda x: minimal_fractional_subsequences(_table23, x), "N", 1),
+        (lambda x: predicted_record_indices(_table23, x), "N", 1),
+        (lambda x: rectangles_in_window(_table23, x, 5), "W", 1),
+        (lambda x: rectangles_in_window(_table23, 5, x), "H", 1),
+        (lambda x: verify_partition(_table23, x, 5), "W", 1),
+        (lambda x: verify_partition(_table23, 5, x), "H", 1),
+        (lambda x: large_gap(_table23, x), "level", 1),
+        (lambda x: large_gap(_table23, x, "P"), "level", 0),
+        (_cli_handler(["cf"], "depth"), "--depth", 0),
+        (_cli_handler(["enum"], "count"), "--count", 1),
+        (_cli_handler(["tile", "--width", "5", "--height", "5"], "width"), "--width", 1),
+        (_cli_handler(["tile", "--width", "5", "--height", "5"], "height"), "--height", 1),
+        (_cli_handler(["gaps"], "levels"), "--levels", 1),
+        (_cli_handler(["gaps", "--family", "P"], "levels"), "--levels", 0),
+        (_cli_handler(["verify", "--window", "5x5"], "scan"), "--scan", 1),
+        (_cli_handler(["verify", "--window", "5x5"], "depth"), "--depth", 1),
+    ],
+    ids=[
+        "f", "walk", "enumerate_sorted", "minimal_fractional_subsequences", "predicted_record_indices",
+        "rectangles_in_window_W", "rectangles_in_window_H", "verify_partition_W", "verify_partition_H",
+        "large_gap_A", "large_gap_P", "cli_cf_depth", "cli_enum_count", "cli_tile_width", "cli_tile_height",
+        "cli_gaps_levels_A", "cli_gaps_levels_P", "cli_verify_scan", "cli_verify_depth",
+    ],
+)
+def test_every_count_follows_the_one_rule(call, name, least):
+    # core_arith._count: least - 1 is refused with one message shape, a count past the int-to-str
+    # limit is shown by its bit length, and an __index__ object at least is accepted.
+    word = ("non-negative", "positive")[least]
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(name)} must be {word}, got {least - 1}$"):
+        call(least - 1)
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(name)} must be {word}, got -<16610-bit integer>$"):
+        call(-10**5000)
+    call(_Index(least))
+
+
+def test_a_table_that_is_not_a_table_is_named():
+    # The queries catch the AttributeError of their one table read; the error does not chain it.
+    for fn, rest in _TABLE_TAKERS:
+        for _, table in _NOT_TABLES:
+            with pytest.raises(NonIntegerArgument, match=f"^{fn.__name__} needs a ConvergentTable, got ") as exc:
+                fn(table, *rest)
+            assert exc.value.__suppress_context__ and exc.value.__cause__ is None
 
 
 def test_parity_outside_0_1_is_value_error():
