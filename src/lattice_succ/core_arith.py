@@ -206,10 +206,16 @@ def _count(x, name: str, least: int) -> int:
 
 
 def _form(u, name: str, user: str) -> tuple[int, int]:
-    """u's (coeff, const) as ints; anything but an AffineForm, or a field without __index__, raises NonIntegerArgument."""
+    """u's (coeff, const) as ints; anything but an AffineForm, or a field without __index__, raises NonIntegerArgument.
+
+    The field names are formatted only for the error, off the path of every form that passes.
+    """
     if not isinstance(u, AffineForm):
         raise NonIntegerArgument(f"{user} needs AffineForms, got {_show(u)}")
-    return _integer(u.coeff, f"{name}.coeff"), _integer(u.const, f"{name}.const")
+    try:
+        return operator.index(u.coeff), operator.index(u.const)
+    except TypeError:
+        return _integer(u.coeff, f"{name}.coeff"), _integer(u.const, f"{name}.const")
 
 
 def _check_pair(pair, user: str) -> None:
