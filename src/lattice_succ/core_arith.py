@@ -84,8 +84,8 @@ class InvalidArgument(LatticeError, ValueError):
 
 
 class NonIntegerArgument(LatticeError, TypeError):
-    """A non-integer generator, budget or index (no __index__), a non-pair point,
-    or a pair or form argument that is not a GeneratorPair or AffineForm."""
+    """A non-integer generator, budget, count or index (no __index__), a non-pair point,
+    or a pair, table or form argument that is not a GeneratorPair, ConvergentTable or AffineForm."""
 
 
 class GeneratorPair:
