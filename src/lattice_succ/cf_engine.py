@@ -31,6 +31,7 @@ from .core_arith import (
     LatticeError,
     NonIntegerArgument,
     _check_pair,
+    _count,
     _integer,
     _ln,
     _show,
@@ -119,8 +120,8 @@ class ConvergentTable:
         return [self._hk(i) for i in range(len(self._a))]
 
     def extend_to(self, i: int) -> "ConvergentTable":
-        """Ensure quotients and convergents through index i are stored."""
-        i = _integer(i, "index")
+        """Ensure quotients and convergents through index i >= 0 are stored."""
+        i = _count(i, "index", 0)
         if len(self._a) <= i:
             with self._lock:
                 while len(self._a) <= i:

@@ -270,7 +270,7 @@ def _affine_sign(pair: GeneratorPair, dk: int, dn: int) -> int:
             return s * sign
         prec *= 2
     if bits > budget:
-        raise BudgetExceeded(f"power comparison needs ~{bits:.0f} bits, budget is {budget}")
+        raise BudgetExceeded(f"power comparison needs ~{bits if shift else math.ceil(bits)} bits, budget is {budget}")
     lhs, rhs = pair.p1**dk, pair.p2**dn
     if lhs == rhs:  # a common base, which GeneratorPair refuses
         raise InternalConsistencyError(f"p1**{dk} == p2**{dn}: the pair was not built by GeneratorPair")
@@ -399,7 +399,7 @@ def _check_value_budget(pair: GeneratorPair, i: int, j: int) -> None:
     shift = ((i | j | budget) >> 960).bit_length()  # as in _affine_sign: huge counts shift into float range
     bits = (i >> shift) * lp1 + (j >> shift) * lp2  # bits of the value, over 2**shift
     if bits > budget >> shift:
-        needs = _show(int(bits) << shift)
+        needs = _show(math.ceil(bits) << shift)  # rounded up, so above the budget
         raise BudgetExceeded(f"value at ({_show(i)}, {_show(j)}) needs ~{needs} bits, budget is {_show(budget)}")
 
 

@@ -1,10 +1,12 @@
 """Brute-force ground truth: sorted enumeration of S by merging.
 
-The stream keeps one pending candidate per p2-exponent row in a heap; a new
-row is opened whenever a row head with p1-exponent 0 is emitted. This gives
-every element exactly once in increasing order with O(rows) memory. The
-batch `enumerate_sorted` merges the p1- and p2-multiples of the list it has
-built instead, so comparing the two checks one algorithm against another.
+The stream keeps one pending (value, i, j) per p2-exponent row in a heap
+ordered by exact value; a new row is opened whenever a row head with
+p1-exponent 0 is emitted. This gives every element exactly once in
+increasing order with O(rows) memory. The batch `enumerate_sorted` merges
+the p1- and p2-multiples of the list it has built instead, so comparing the
+two checks one algorithm against another. `naive_next` is the naive
+reference successor: it enumerates until value(p) is passed.
 It rests on `core_arith` alone and loads neither `cf_engine` nor `successor`.
 """
 
@@ -15,58 +17,34 @@ from collections.abc import Iterator
 from itertools import repeat
 
 from .core_arith import (
-    LESS, ZERO_FORM, AffineForm, GeneratorPair, GridPoint, InvalidArgument, _check_pair,
-    _check_value_budget, _count, _grid_point, _point, _show, compare_affine, value,
+    GeneratorPair, GridPoint, _check_pair, _check_value_budget, _count, _point, value,
 )
-
-
-class _AffineKey:
-    """Heap key ordering p1^i * p2^j by i*alpha + j without forming products."""
-
-    __slots__ = ("pair", "i", "j")
-
-    def __init__(self, pair: GeneratorPair, i: int, j: int):
-        self.pair = pair
-        self.i = i
-        self.j = j
-
-    def __lt__(self, other: "_AffineKey") -> bool:
-        # i1*alpha + j1 < i2*alpha + j2  iff  (i1-i2)*alpha - (j2-j1) < 0
-        form = AffineForm(self.i - other.i, other.j - self.j)
-        return compare_affine(self.pair, form, ZERO_FORM) == LESS
 
 
 class SortedStream:
     """Single-consumer lazy enumeration of S in strictly increasing order.
 
-    Heap entries carry exact values, so a step multiplies by p1 or p2 instead
-    of forming powers; next() leaves the emitted value in `last_value`.
-    key="value" orders the frontier by those integers; key="affine" compares
-    exponent forms instead, an independent check of the same order.
+    Heap entries are (value, i, j): exact values, so a step multiplies by p1
+    or p2 instead of forming powers. The pair is independent, so two entries
+    never tie on value. next() leaves the emitted value in `last_value`.
     """
 
-    def __init__(self, pair: GeneratorPair, key: str = "value"):
+    def __init__(self, pair: GeneratorPair):
         _check_pair(pair, "SortedStream")
-        if key not in ("value", "affine"):
-            raise InvalidArgument(f"key must be 'value' or 'affine', got {_show(key)}")
         self.pair = pair
-        self.key = key
         self.last_value: int | None = None
-        self._heap: list[tuple] = [(1 if key == "value" else _AffineKey(pair, 0, 0), 0, 0, 1)]
+        self._heap: list[tuple[int, int, int]] = [(1, 0, 0)]
 
     def __iter__(self) -> Iterator[GridPoint]:
         return self
 
     def __next__(self) -> GridPoint:
-        heap, pair, affine = self._heap, self.pair, self.key == "affine"
-        _, i, j, v = heap[0]
-        # Entries are (key, i, j, value). The right neighbour is larger than
-        # the head, so it can replace it.
-        v1 = v * pair.p1
-        heapq.heapreplace(heap, (_AffineKey(pair, i + 1, j) if affine else v1, i + 1, j, v1))
+        heap, pair = self._heap, self.pair
+        v, i, j = heap[0]
+        # The right neighbour is larger than the head, so it can replace it.
+        heapq.heapreplace(heap, (v * pair.p1, i + 1, j))
         if i == 0:
-            v2 = v * pair.p2
-            heapq.heappush(heap, (_AffineKey(pair, 0, j + 1) if affine else v2, 0, j + 1, v2))
+            heapq.heappush(heap, (v * pair.p2, 0, j + 1))
         self.last_value = v
         return _point(GridPoint, (i, j))
 
@@ -121,18 +99,11 @@ def _merge(pair: GeneratorPair, count: int) -> tuple[list[tuple[int, int]], list
     return ij, vals
 
 
-def naive_next(pair: GeneratorPair, p: GridPoint, key: str = "value") -> GridPoint:
-    """Successor of p by fresh enumeration until value(p) is passed."""
-    stream = SortedStream(pair, key)
-    p = _grid_point(p)
-    if key == "value":
-        target = value(pair, p)
-        for q in stream:
-            if stream.last_value > target:
-                return q
-    else:
-        target = _AffineKey(pair, *p)
-        for q in stream:
-            if target < _AffineKey(pair, q.i, q.j):
-                return q
+def naive_next(pair: GeneratorPair, p: GridPoint) -> GridPoint:
+    """Successor of p by fresh enumeration until value(p) is passed; refuses where value() would."""
+    stream = SortedStream(pair)
+    target = value(pair, p)
+    for q in stream:
+        if stream.last_value > target:
+            return q
     raise AssertionError("unreachable: S is infinite")

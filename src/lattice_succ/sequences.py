@@ -2,12 +2,14 @@
 
 Every decision is exact: a float decides only where its certified error bound
 settles it, and `f` or `_affine_sign` decides the rest. Nothing here shortcuts
-via the statements under test.
+via the statements under test. A verifier collects its failures as it goes
+and returns one `VerifyReport`, a NamedTuple like the package's other records.
 """
 
 from __future__ import annotations
 
 from math import inf
+from typing import NamedTuple
 
 from .cf_engine import ConvergentTable, _bands, _check_table, _last
 from .core_arith import (
@@ -19,35 +21,20 @@ from .core_arith import (
     BudgetExceeded,
     GeneratorPair,
     InvalidArgument,
-    NonIntegerArgument,
     _affine_sign,
-    _check_pair,
     _check_value_budget,
     _count,
-    _form,
-    _integer,
     _show,
     f,
 )
 
 
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of a verifier: ok, the number of checks made, one message per failure."""
 
-    __slots__ = ("ok", "checked", "failures")
-
-    def __init__(self, ok: bool, checked: int, failures: list[str] | None = None):
-        self.ok = ok
-        self.checked = checked
-        self.failures = [] if failures is None else failures  # a fresh list per report
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ok, self.checked, self.failures) == (other.ok, other.checked, other.failures)
-        return NotImplemented  # with __eq__ and no __hash__, a report is unhashable, as it is mutable
-
-    def __repr__(self) -> str:
-        return f"VerifyReport(ok={self.ok!r}, checked={self.checked!r}, failures={self.failures!r})"
+    ok: bool
+    checked: int
+    failures: list[str]
 
 
 def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyReport:
@@ -55,60 +42,42 @@ def verify_fg_at_convergents(table: ConvergentTable, max_index: int) -> VerifyRe
 
     f(h_{2j} + t*h_{2j+1}) = k_{2j} + t*k_{2j+1} (g one less) for
     0 < t <= a_{2j+2}, and g(h_{2l-1} + t*h_{2l}) = k_{2l-1} + t*k_{2l}
-    (f one more) for 0 <= t <= a_{2l+1}, over all levels within max_index.
+    (f one more) for 0 <= t <= a_{2l+1}, over all levels within max_index >= 1.
     The odd family checks both ends of each band, so an inner odd convergent
     is checked twice.
     """
     _check_table(table, "verify_fg_at_convergents")
-    max_index = _integer(max_index, "max_index")
+    max_index = _count(max_index, "max_index", 1)
     table.extend_to(max_index + 1)
     pair = table.pair
     a, hk = table._a, table._hk
-    report = VerifyReport(ok=True, checked=0)
-    if max_index < 1:
-        return report  # no band ends within max_index + 1
-
-    def check(parity: int, base: int, t: int, n: int, kn: int) -> None:
-        fn = f(pair, n)
-        want = kn + parity  # f = k on the even family, g = f - 1 = k on the odd
-        report.checked += 1
-        if fn != want:
-            label = f"even base 2j={base}" if parity == 0 else f"odd base 2l-1={base}"
-            report.ok = False
-            report.failures.append(
-                f"{label}, t={t}: n={n}, f={fn} (want {want}), g={fn - 1} (want {want - 1})"
-            )
-
+    checks = []  # (parity, base, t, n, k_n) of each numerator n to check
     for parity in (0, 1):
         for base, t, hn, kn in _bands(table, "k", parity, hk(_last(max_index + 1, parity))[1]):
             if t or parity:  # the even family starts each band at t = 1
-                check(parity, base, t, hn, kn)
+                checks.append((parity, base, t, hn, kn))
             if t == a[base + 2] - 1:
-                check(parity, base, t + 1, *hk(base + 2))
-    return report
-
-
-def check_strictly_decreasing(pair: GeneratorPair, forms: list[AffineForm]) -> VerifyReport:
-    """Verify forms[0] > forms[1] > ... exactly; report the first bad link.
-
-    The pair and each form are checked as `compare_affine` checks them, and
-    forms must be a list or tuple; anything else raises NonIntegerArgument.
-    """
-    _check_pair(pair, "check_strictly_decreasing")
-    if not isinstance(forms, (list, tuple)):
-        raise NonIntegerArgument(f"check_strictly_decreasing needs a list or tuple of AffineForms, got {_show(forms)}")
-    return _decreasing(pair, [_form(u, f"forms[{n}]", "check_strictly_decreasing") for n, u in enumerate(forms)])
+                checks.append((parity, base, t + 1, *hk(base + 2)))
+    failures = []
+    for parity, base, t, n, kn in checks:
+        fn = f(pair, n)
+        want = kn + parity  # f = k on the even family, g = f - 1 = k on the odd
+        if fn != want:
+            label = f"even base 2j={base}" if parity == 0 else f"odd base 2l-1={base}"
+            failures.append(f"{label}, t={t}: n={n}, f={fn} (want {want}), g={fn - 1} (want {want - 1})")
+    return VerifyReport(not failures, len(checks), failures)
 
 
 def _decreasing(pair: GeneratorPair, forms: list[tuple[int, int]]) -> VerifyReport:
-    """check_strictly_decreasing over forms given as (coeff, const) ints, one `_affine_sign` per link."""
-    report = VerifyReport(ok=True, checked=max(len(forms) - 1, 0))
+    """Verify forms[0] > forms[1] > ... exactly, one `_affine_sign` per link; report the first bad link.
+
+    The forms are (coeff, const) ints, at least one, each standing for coeff*alpha + const.
+    """
     for idx, ((k0, n0), (k1, n1)) in enumerate(zip(forms, forms[1:])):
         if _affine_sign(pair, k0 - k1, n0 - n1) != GREATER:
-            report.ok = False
-            report.failures.append(f"link {idx}: {AffineForm(k0, n0)} is not > {AffineForm(k1, n1)}")
-            break
-    return report
+            failure = f"link {idx}: {AffineForm(k0, n0)} is not > {AffineForm(k1, n1)}"
+            return VerifyReport(False, len(forms) - 1, [failure])
+    return VerifyReport(True, len(forms) - 1, [])
 
 
 def _chain(table: ConvergentTable, parity: int, max_index: int) -> list[tuple[int, int]]:
@@ -127,23 +96,19 @@ def _chain(table: ConvergentTable, parity: int, max_index: int) -> list[tuple[in
 
 
 def verify_monotone_fractional_chains(table: ConvergentTable, max_index: int) -> VerifyReport:
-    """Check the two strictly decreasing fractional-part chains.
+    """Check the two strictly decreasing fractional-part chains, for max_index >= 1.
 
     Ceil parts h - k*alpha along the odd-anchored chain, floor parts
     k*alpha - h along the even-anchored chain.
     """
     _check_table(table, "verify_monotone_fractional_chains")
-    max_index = max(_integer(max_index, "max_index"), 1)
+    max_index = _count(max_index, "max_index", 1)
     table.extend_to(max_index)
     pair = table.pair
     r1 = _decreasing(pair, [(-k, -h) for h, k in _chain(table, 1, max_index)])
     r2 = _decreasing(pair, [(k, h) for h, k in _chain(table, 0, max_index)])
-    return VerifyReport(
-        ok=r1.ok and r2.ok,
-        checked=r1.checked + r2.checked,
-        failures=[f"ceil chain: {m}" for m in r1.failures]
-        + [f"floor chain: {m}" for m in r2.failures],
-    )
+    failures = [f"ceil chain: {m}" for m in r1.failures] + [f"floor chain: {m}" for m in r2.failures]
+    return VerifyReport(not failures, r1.checked + r2.checked, failures)
 
 
 def minimal_fractional_subsequences(

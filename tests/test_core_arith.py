@@ -25,6 +25,7 @@ from lattice_succ import (
     f,
     g,
     validate_pair,
+    value,
 )
 from lattice_succ import cf_engine, core_arith
 from lattice_succ.core_arith import (
@@ -216,6 +217,15 @@ class TestCompareFraction:
         with pytest.raises(BudgetExceeded, match="needs ~1585 bits, budget is 64"):
             compare_fraction(tight, 1000, 1)
         assert compare_fraction(tight, 40, 1) == GREATER  # 3**40 has 64 bits: built and compared
+
+    def test_budget_messages_round_the_bits_up(self, monkeypatch):
+        # 3**41 has 65 bits (41*log2(3) = 64.98) and 3**43 69 (68.15): each message names more bits than the budget.
+        with pytest.raises(BudgetExceeded, match=r"^value at \(0, 41\) needs ~65 bits, budget is 64$"):
+            value(validate_pair(2, 3, bit_budget=64), (0, 41))
+        monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
+        monkeypatch.setattr(core_arith, "_log_sign", lambda *args: EQUAL)
+        with pytest.raises(BudgetExceeded, match="^power comparison needs ~69 bits, budget is 68$"):
+            compare_fraction(validate_pair(2, 3, bit_budget=68), 43, 1)
 
     def test_exponent_past_float_range_is_refused(self, pair23):
         # Kept under its old name: exponents past a float's range now get the

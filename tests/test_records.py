@@ -1,8 +1,8 @@
 """Semantics of the library's record types.
 
-GeneratorPair and VerifyReport are __slots__ classes; AffineForm, Rectangle,
-GapWitness and PartitionReport are NamedTuples, so they compare equal to plain
-tuples and are copied with `_replace`.
+GeneratorPair is a __slots__ class; AffineForm, Rectangle, GapWitness,
+PartitionReport and VerifyReport are NamedTuples, so they compare equal to
+plain tuples, cannot be changed in place and are copied with `_replace`.
 """
 
 import copy
@@ -25,9 +25,10 @@ from lattice_succ import (
     rectangles_in_window,
     validate_pair,
     verify_fg_at_convergents,
+    verify_monotone_fractional_chains,
     verify_partition,
 )
-from lattice_succ.sequences import VerifyReport, check_strictly_decreasing
+from lattice_succ.sequences import VerifyReport
 
 
 class TestGeneratorPair:
@@ -76,29 +77,26 @@ class TestGeneratorPair:
 
 class TestVerifyReport:
     def test_reports_never_share_a_failures_list(self):
-        a, b = VerifyReport(ok=True, checked=0), VerifyReport(ok=True, checked=0)
-        assert a.failures == [] and a.failures is not b.failures
-        a.failures.append("x")
-        assert b.failures == []
+        # failures has no default list that two reports could share.
+        with pytest.raises(TypeError):
+            VerifyReport(ok=True, checked=0)
 
-    def test_verifiers_return_fresh_lists(self, pair23, table23):
-        one = verify_fg_at_convergents(table23, 0)
-        two = verify_fg_at_convergents(table23, 0)
+    def test_verifiers_return_fresh_lists(self, table23):
+        one = verify_fg_at_convergents(table23, 1)
+        two = verify_fg_at_convergents(table23, 1)
         assert one.failures is not two.failures
-        three = check_strictly_decreasing(pair23, [])
+        three = verify_monotone_fractional_chains(table23, 1)
         assert three.failures is not one.failures
 
-    def test_mutable_fields_equality_and_repr(self):
-        report = VerifyReport(True, 0)
-        report.ok, report.checked = False, 2
-        report.failures.append("link 0")
-        assert report == VerifyReport(False, 2, ["link 0"])
-        assert report != VerifyReport(False, 2)
+    def test_fields_equality_and_repr(self):
+        report = VerifyReport(False, 2, ["link 0"])
+        assert report == (False, 2, ["link 0"]) and report != VerifyReport(False, 2, [])
+        assert report._replace(ok=True) == VerifyReport(True, 2, ["link 0"])
         assert repr(report) == "VerifyReport(ok=False, checked=2, failures=['link 0'])"
         with pytest.raises(AttributeError):
-            report.extra = 1
+            report.ok = True
         with pytest.raises(TypeError):
-            hash(report)
+            hash(report)  # its failures list is unhashable
 
 
 class TestTupleRecords:

@@ -8,6 +8,7 @@ from lattice_succ import (
     AffineForm,
     BudgetExceeded,
     ConvergentTable,
+    InvalidArgument,
     compare_affine,
     f,
     g,
@@ -19,7 +20,7 @@ from lattice_succ import (
 )
 from lattice_succ import sequences
 from lattice_succ.core_arith import ZERO_FORM
-from lattice_succ.sequences import check_strictly_decreasing
+from lattice_succ.sequences import _decreasing
 
 from conftest import PAIR_ARGS, safe_depth, table_for
 
@@ -60,9 +61,9 @@ class TestFgAtConvergents:
         assert report.ok and report.failures == []
         assert report.checked > 0
 
-    def test_vacuous_at_depth_zero(self, table23):
-        report = verify_fg_at_convergents(table23, 0)
-        assert report.ok and report.checked == 0
+    def test_refused_at_depth_zero(self, table23):
+        with pytest.raises(InvalidArgument, match="^max_index must be positive, got 0$"):
+            verify_fg_at_convergents(table23, 0)
 
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_passes_all_pairs(self, p1, p2):
@@ -82,10 +83,10 @@ class TestMonotoneChains:
     def test_negative_control_swapped_links(self, table23):
         pair = table23.pair
         # ceil parts at h1-k1*a and (h1+h2)-(k1+k2)*a, deliberately swapped
-        good = [AffineForm(-1, -1), AffineForm(-3, -2)]
-        assert check_strictly_decreasing(pair, good).ok
+        good = [(-1, -1), (-3, -2)]
+        assert _decreasing(pair, good).ok
         bad = list(reversed(good))
-        report = check_strictly_decreasing(pair, bad)
+        report = _decreasing(pair, bad)
         assert not report.ok
         assert "link 0" in report.failures[0]
 
@@ -319,7 +320,7 @@ class TestChainWalksMatchReference:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_fg_identities(self, p1, p2, monkeypatch):
         table = table_for(p1, p2)
-        for max_index in range(0, safe_depth(table, 11)):
+        for max_index in range(1, safe_depth(table, 11)):  # max_index 0 is refused
             ref_table, new_table = fresh(table), fresh(table)
             want = list(ref_fg_identities(ref_table, max_index))
             report = verify_fg_at_convergents(new_table, max_index)
@@ -337,13 +338,12 @@ class TestChainWalksMatchReference:
     @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
     def test_monotone_chains(self, p1, p2):
         table = table_for(p1, p2)
-        for max_index in range(0, safe_depth(table, 10) + 1):
+        for max_index in range(1, safe_depth(table, 10) + 1):  # max_index 0 is refused
             ref_table, new_table = fresh(table), fresh(table)
-            ref_table.extend_to(max(max_index, 1))
+            ref_table.extend_to(max_index)
             want = (ref_ceil_chain(ref_table, max_index), ref_floor_chain(ref_table, max_index))
             report = verify_monotone_fractional_chains(new_table, max_index)
-            m = max(max_index, 1)
-            assert (sequences._chain(new_table, 1, m), sequences._chain(new_table, 0, m)) == want
+            assert (sequences._chain(new_table, 1, max_index), sequences._chain(new_table, 0, max_index)) == want
             assert report.ok and report.checked == len(want[0]) + len(want[1]) - 2
             assert new_table.depth == ref_table.depth
 

@@ -45,7 +45,6 @@ from lattice_succ import (
 from lattice_succ import successor
 from lattice_succ.cli import build_parser
 from lattice_succ.core_arith import DEFAULT_BIT_BUDGET, _check_value_budget
-from lattice_succ.sequences import check_strictly_decreasing
 
 from conftest import PAIR_ARGS, pair_for, table_for
 
@@ -486,13 +485,13 @@ _NOT_TABLES = [("pair", _pair23), ("None", None)]
     [
         (walk, (_table23, GridPoint(3, 2), 2.0)),
         # A GridPoint refuses these coordinates itself (test_grid_point_refuses_what_the_queries_refuse),
-        # so the queries get them as plain tuples; the ids keep the GridPoint spelling they had.
+        # so the queries get them as plain tuples; the ids keep the GridPoint spelling they had,
+        # and naive_next's keeps the 'value' key that the oracle no longer takes.
         pytest.param(next_point, (_table23, (2, 2.0)), id="next_point-(GridPoint(i=2, j=2.0),)"),
         pytest.param(prev_point, (_table23, (1.5, 2)), id="prev_point-(GridPoint(i=1.5, j=2),)"),
         pytest.param(value, (_pair23, (0, 40.0)), id="value-(GridPoint(i=0, j=40.0),)"),
         (enumerate_sorted, (_pair23, 2.0)),
-        pytest.param(naive_next, (_pair23, (2.5, 1), "affine"), id="naive_next-(GridPoint(i=2.5, j=1), 'affine')"),
-        pytest.param(naive_next, (_pair23, (2.5, 1), "value"), id="naive_next-(GridPoint(i=2.5, j=1), 'value')"),
+        pytest.param(naive_next, (_pair23, (2.5, 1)), id="naive_next-(GridPoint(i=2.5, j=1), 'value')"),
         (ConvergentTable.extend_to, (_table23, 2.5)),
         (ConvergentTable.h, (_table23, 1.5)),
         (ConvergentTable.quotient, (_table23, 1.0)),
@@ -515,7 +514,6 @@ _NOT_TABLES = [("pair", _pair23), ("None", None)]
         pytest.param(value, ((2, 3), (1, 1)), id="value-pair_tuple"),
         pytest.param(enumerate_sorted, ((2, 3), 3), id="enumerate_sorted-pair_tuple"),
         pytest.param(SortedStream, ((2, 3),), id="SortedStream-pair_tuple"),
-        pytest.param(SortedStream, ((2, 3), "affine"), id="SortedStream-pair_tuple_affine"),
         pytest.param(naive_next, ((2, 3), (1, 1)), id="naive_next-pair_tuple"),
         pytest.param(compare_affine, (_pair23, (1, 1), (0, 0)), id="compare_affine-form_tuple"),
         pytest.param(compare_affine, (_pair23, None, AffineForm(0, 0)), id="compare_affine-form_None"),
@@ -532,12 +530,6 @@ _NOT_TABLES = [("pair", _pair23), ("None", None)]
             pytest.param(fn, (table, *rest), id=f"{fn.__name__}-table_{label}")
             for fn, rest in _TABLE_TAKERS
             for label, table in _NOT_TABLES
-        ),
-        # check_strictly_decreasing checks its pair and forms as compare_affine does.
-        pytest.param(check_strictly_decreasing, (_pair23, [(1, 2), (0, 0)]), id="check_strictly_decreasing-form_tuple"),
-        pytest.param(check_strictly_decreasing, (_pair23, None), id="check_strictly_decreasing-forms_None"),
-        pytest.param(
-            check_strictly_decreasing, (None, [AffineForm(1, 0), AffineForm(0, 0)]), id="check_strictly_decreasing-pair_None"
         ),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v[1:]),
@@ -567,19 +559,21 @@ def test_non_integer_arguments_are_typed(fn, args):
         lambda: predicted_record_indices(_table23, 0),
         lambda: compare_fraction(_pair23, 0, 0),
         lambda: f(_pair23, 0),
-        lambda: SortedStream(_pair23, key="size"),
         lambda: enumerate_sorted(_pair23, 0),
         lambda: GridPoint(-1, 0),
-        lambda: SortedStream(_pair23, key=[10**5000]),
         lambda: large_gap(_table23, 1, family=[10**5000]),
         lambda: _table23.extend_until(5, seq=[10**5000]),
+        lambda: verify_fg_at_convergents(_table23, -7),
+        lambda: verify_monotone_fractional_chains(_table23, -10**5000),
+        lambda: _table23.extend_to(-3),
     ],
     ids=[
         "negative_point", "negative_point_prev", "walk_negative_count", "extend_until_seq",
         "extend_until_parity", "window", "partition_window", "gap_family", "gap_level",
         "record_scan_N", "record_scan_N_past_float_range", "record_scan_margin_past_float_range", "predicted_N",
-        "fraction", "f_n", "stream_key", "enumerate_count", "grid_point",
-        "stream_key_past_str_limit", "gap_family_past_str_limit", "extend_until_seq_past_str_limit",
+        "fraction", "f_n", "enumerate_count", "grid_point",
+        "gap_family_past_str_limit", "extend_until_seq_past_str_limit",
+        "fg_max_index", "chains_max_index_past_str_limit", "extend_to_index",
     ],
 )
 def test_out_of_range_arguments_are_typed(call):
@@ -622,6 +616,9 @@ def _cli_handler(argv, attr):
         (lambda x: verify_partition(_table23, 5, x), "H", 1),
         (lambda x: large_gap(_table23, x), "level", 1),
         (lambda x: large_gap(_table23, x, "P"), "level", 0),
+        (lambda x: verify_fg_at_convergents(_table23, x), "max_index", 1),
+        (lambda x: verify_monotone_fractional_chains(_table23, x), "max_index", 1),
+        (lambda x: _table23.extend_to(x), "index", 0),
         (_cli_handler(["cf"], "depth"), "--depth", 0),
         (_cli_handler(["enum"], "count"), "--count", 1),
         (_cli_handler(["tile", "--width", "5", "--height", "5"], "width"), "--width", 1),
@@ -634,7 +631,8 @@ def _cli_handler(argv, attr):
     ids=[
         "f", "walk", "enumerate_sorted", "minimal_fractional_subsequences", "predicted_record_indices",
         "rectangles_in_window_W", "rectangles_in_window_H", "verify_partition_W", "verify_partition_H",
-        "large_gap_A", "large_gap_P", "cli_cf_depth", "cli_enum_count", "cli_tile_width", "cli_tile_height",
+        "large_gap_A", "large_gap_P", "verify_fg_at_convergents", "verify_monotone_fractional_chains", "extend_to",
+        "cli_cf_depth", "cli_enum_count", "cli_tile_width", "cli_tile_height",
         "cli_gaps_levels_A", "cli_gaps_levels_P", "cli_verify_scan", "cli_verify_depth",
     ],
 )
@@ -700,7 +698,7 @@ _POINT_TAKERS = [
     lambda p: locate(_table23, p),
     lambda p: locate_tilde(_table23, p),
     lambda p: value(_pair23, p),
-    lambda p: naive_next(_pair23, p, "affine"),
+    lambda p: naive_next(_pair23, p),
 ]
 
 
