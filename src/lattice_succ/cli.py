@@ -10,13 +10,25 @@ from functools import lru_cache
 
 from .cf_engine import ConvergentTable
 from .core_arith import DEFAULT_BIT_BUDGET, _SPLIT_BITS, GridPoint, LatticeError, _count, validate_pair, value
-from .successor import next_point, prev_point, walk
+from .successor import _walk, next_point, prev_point
 
 # The handlers of enum, tile, gaps and verify import the verifier modules
 # themselves, so `next`, `prev` and `cf` load only the query path.
 
 BUDGET_ENV_VAR = "LATTICE_SUCC_BIT_BUDGET"
 FORMATS = ("text", "json-lines", "tsv")
+
+
+@lru_cache(maxsize=8)
+def _table(pair) -> ConvergentTable:
+    """The process's convergent table for a pair, shared by every subcommand but `cf`.
+
+    A table depends only on (p1, p2, bit_budget), which the pair hashes by, grows
+    under its own lock and only appends rows, so a deeper table gives the same
+    answers and refusals as a fresh one. `cf` builds its own, since its rows are
+    its output. The tables of the eight pairs used last are kept.
+    """
+    return ConvergentTable(pair)
 
 
 def _decimal(n: int) -> str:
@@ -59,7 +71,7 @@ def _cmd_cf(args: argparse.Namespace, pair, out) -> int:
 
 def _cmd_step(args: argparse.Namespace, pair, out) -> int:
     step = next_point if args.command == "next" else prev_point
-    q = step(ConvergentTable(pair), GridPoint(args.i, args.j))
+    q = step(_table(pair), GridPoint(args.i, args.j))
     row = (*q, value(pair, q)) if args.value else q
     if args.fmt == "text":
         out.write(f"({q.i},{q.j})" + (f" {_decimal(row[2])}" if args.value else "") + "\n")
@@ -80,7 +92,7 @@ def _cmd_tile(args: argparse.Namespace, pair, out) -> int:
     from .tiling import Rectangle, rectangles_in_window
 
     W, H = _count(args.width, "--width", 1), _count(args.height, "--height", 1)
-    rects = rectangles_in_window(ConvergentTable(pair), W, H, tilde=args.tilde)
+    rects = rectangles_in_window(_table(pair), W, H, tilde=args.tilde)
     if args.svg:  # before the table, so an unwritable path prints nothing but its error
         from .svg import render_tiling_svg  # only this handler draws
 
@@ -96,7 +108,7 @@ def _cmd_gaps(args: argparse.Namespace, pair, out) -> int:
     family = args.family
     first = 1 if family == "A" else 0  # family A starts at level 1
     levels = _count(args.levels, "--levels", first)
-    table = ConvergentTable(pair)
+    table = _table(pair)
     witnesses = [large_gap(table, level, family=family) for level in range(first, levels + 1)]
     rows = [(w.level, w.family, *w.point, *w.succ, w.gap) for w in witnesses]
     _emit(rows, ["level", "family", "i", "j", "succ_i", "succ_j", "gap"], args.fmt, out)
@@ -118,7 +130,7 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     )
     from .tiling import verify_partition
 
-    table = ConvergentTable(pair)
+    table = _table(pair)
     records: list[tuple[str, bool, str]] = []
     suite = records.append
 
@@ -127,10 +139,11 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     tld = verify_partition(table, W, H, tilde=True)
     suite(("partition-tilde", tld.ok, f"{tld.rectangle_count} rectangles on {W}x{H}"))
 
-    # walk's points against the oracle's exponent pairs, which are plain tuples: a GridPoint
-    # equals its tuple. Both lists follow (0, 0), so they agree iff every oracle step is next_point's.
+    # walk's coordinates, zipped into (i, j) tuples so that no GridPoint is built, against the
+    # oracle's exponent pairs, which are plain tuples too. Both lists follow (0, 0), so they agree
+    # iff every oracle step is next_point's.
     stepped = _merge(pair, scan + 1)[0][1:]
-    walked = walk(table, GridPoint(0, 0), scan)
+    walked = list(zip(*_walk(table, GridPoint(0, 0), scan)))
     mismatches = 0
     if walked != stepped:
         mismatches = abs(len(walked) - len(stepped)) + sum(1 for p, q in zip(walked, stepped) if p != q)

@@ -8,7 +8,8 @@ tilde rectangle holding a point gives its predecessor. `_query` builds both
 queries from one cell lookup, which runs in the query's own frame:
 `next_point` looks the cell (y, x) up over the table's source view (h, k),
 `prev_point` the cell (x, y) over its tilde view (k, h). `walk` steps the
-source-view lookup in its own loop.
+source-view lookup in its own loop, `_walk`, which returns plain coordinate
+lists that `walk` makes GridPoints.
 
 A `GridPoint` is checked when it is built, so a query takes one as it is and sends
 any other point through `_grid_point`; both live in `core_arith` with `value`.
@@ -102,6 +103,17 @@ prev_point = _query(True, "prev_point", "Coordinates of the predecessor; raises 
 def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     """The n successors of p in sorted S: next_point iterated n times in one call.
 
+    The GridPoints are built in one pass over `_walk`'s coordinate lists, so
+    the lookup loop exists once and `verify` compares its coordinates without
+    building points. The count and the point are checked as before, and a
+    table without the views raises NonIntegerArgument, as in `_query`.
+    """
+    return list(map(_point, repeat(GridPoint), zip(*_walk(table, p, n))))
+
+
+def _walk(table: ConvergentTable, p: GridPoint, n: int) -> tuple[list[int], list[int]]:
+    """The i and then the j coordinates of the n successors of p, as two int lists.
+
     The loop is `_query`'s source-view lookup on plain ints, with (c, d) =
     (j, i): a step in a band t = 0 translates by the primary convergent with
     no division, like `_query`'s, so a change to either must be made to
@@ -111,9 +123,7 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
     slower on the `verify` workload (2-vCPU Xeon VM, Python 3.11). The
     parity lists grow in place, so it sees the rows `_grow` appends
     mid-walk. c >= ue[0] = h_0 = 0 always holds, so the lookup's branch for
-    c < u_0, which only the tilde view takes, is left out. The GridPoints
-    are built in one pass at the end. A table without the views raises
-    NonIntegerArgument, as in `_query`.
+    c < u_0, which only the tilde view takes, is left out.
     """
     n = _count(n, "n", 0)
     d, c = _grid_point(p)
@@ -150,4 +160,4 @@ def walk(table: ConvergentTable, p: GridPoint, n: int) -> list[GridPoint]:
             c += uo[m]
         i_add(d)
         j_add(c)
-    return list(map(_point, repeat(GridPoint), zip(i_out, j_out)))
+    return i_out, j_out

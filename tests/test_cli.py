@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
 
@@ -268,13 +270,13 @@ def test_verify_json_lines_and_tsv():
 
 
 def test_verify_fails_on_a_walk_that_skips_a_step(monkeypatch):
-    real = cli.walk
+    real = cli._walk
 
     def skipping(table, p, n):
-        points = real(table, p, n + 1)
-        return points[:40] + points[41:]
+        i, j = real(table, p, n + 1)
+        return i[:40] + i[41:], j[:40] + j[41:]
 
-    monkeypatch.setattr(cli, "walk", skipping)
+    monkeypatch.setattr(cli, "_walk", skipping)
     code, out = invoke(VERIFY_ARGS)
     assert code == 1
     assert "FAIL oracle-agreement: 100 successor steps, 60 mismatches" in out.splitlines()
@@ -334,6 +336,49 @@ def test_verify_fails_on_a_dropped_band(monkeypatch):
     code, out = invoke(VERIFY_ARGS)
     assert code == 1
     assert "FAIL partition-source: 9 rectangles on 40x40" in out.splitlines()
+
+
+def test_a_shared_table_never_shows_in_output():
+    pair = ["--p1", "2", "--p2", "3"]
+    # A deep query grows (2, 3)'s shared table; cf builds its own and prints rows 0-3 only.
+    assert invoke(["next", *pair, "--i", "900000", "--j", "0"]) == (0, "(119761,492276)\n")
+    assert cli._table(validate_pair(2, 3)).depth > 3
+    code, out = invoke(["cf", *pair, "--depth", "3"])
+    assert code == 0
+    assert out.splitlines() == [
+        "quotients 0 1 1 1", "index\tquotient\th\tk", "0\t0\t0\t1", "1\t1\t1\t1", "2\t1\t1\t2", "3\t1\t2\t3",
+    ]
+    # The first verify grows fresh tables, the second reads them grown; both print the same bytes.
+    cli._table.cache_clear()
+    for p1, p2 in PAIR_ARGS:
+        argv = ["verify", "--p1", str(p1), "--p2", str(p2), "--window", "200x200", "--scan", "240", "--depth", "6"]
+        first = invoke(argv)
+        assert first[0] == 0
+        assert invoke(argv) == first
+
+
+def test_threads_sharing_the_tables_print_what_a_serial_run_prints():
+    argvs = [["verify", "--p1", str(p1), "--p2", str(p2), "--window", "200x200", "--scan", "240", "--depth", "6"]
+             for p1, p2 in PAIR_ARGS]
+    cli._table.cache_clear()  # the threads race to grow cold tables
+    start = threading.Barrier(4)
+
+    def worker():
+        start.wait(timeout=60)
+        return [invoke(argv) for argv in argvs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, mid-growth too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker) for _ in range(4)]
+            threaded = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    cli._table.cache_clear()
+    serial = [invoke(argv) for argv in argvs]
+    assert all(code == 0 for code, _ in serial)
+    assert threaded == [serial] * 4
 
 
 def test_parser_built_once_per_budget_default(monkeypatch):
