@@ -221,20 +221,18 @@ def _bands(table: ConvergentTable, seq: str, parity: int, limit: int) -> Iterato
     0 <= t < a_{n+2}: the primary convergent n at t = 0, its secondary
     convergents after. Both coordinates strictly increase along the chain, so
     a limit on one bounds the other. Band (n, t) over seq starts at seq's
-    coordinate and is seq[n+1] wide. The table grows only as far as the last
-    index these mediants need.
+    coordinate and is seq[n+1] wide. The table first grows, through `_grow`,
+    to the first convergent of the parity whose seq coordinate is at or past
+    limit: the last index these mediants need.
     """
     a, even, odd = table._a, (table._h_even, table._k_even), (table._h_odd, table._k_odd)
     # Row n = 2m + parity is entry m of its parity's lists, row n + 1 entry m + parity of the other's.
     (hs, ks), (dhs, dks) = (even, odd) if parity == 0 else (odd, even)
     values, widths = (ks, dks) if seq == "k" else (hs, dhs)
-    if len(a) <= parity:
-        table.extend_to(parity)
+    _grow(table, values, limit - 1)
     m = 0
     while values[m] < limit:
         n, j = 2 * m + parity, m + parity
-        if len(a) <= n + 2:
-            table.extend_to(n + 2)
         h0, k0, dh, dk = hs[m], ks[m], dhs[j], dks[j]
         # t*seq[n+1] < limit - seq[n] exactly for t below the ceiling of their ratio
         for t in range(min(a[n + 2], -((values[m] - limit) // widths[j]))):

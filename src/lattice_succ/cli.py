@@ -139,14 +139,16 @@ def _cmd_verify(args: argparse.Namespace, pair, out) -> int:
     tld = verify_partition(table, W, H, tilde=True)
     suite(("partition-tilde", tld.ok, f"{tld.rectangle_count} rectangles on {W}x{H}"))
 
-    # walk's coordinates, zipped into (i, j) tuples so that no GridPoint is built, against the
-    # oracle's exponent pairs, which are plain tuples too. Both lists follow (0, 0), so they agree
-    # iff every oracle step is next_point's.
-    stepped = _merge(pair, scan + 1)[0][1:]
-    walked = list(zip(*_walk(table, GridPoint(0, 0), scan)))
+    # walk's i and j lists against the oracle's, past its (0, 0), so that no point or tuple is built
+    # per element. They agree iff every oracle step is next_point's; a mismatch is a length apart
+    # or a step whose i or j differs.
+    i_stepped, j_stepped, _ = _merge(pair, scan + 1)
+    del i_stepped[0], j_stepped[0]
+    i_walked, j_walked = _walk(table, GridPoint(0, 0), scan)
     mismatches = 0
-    if walked != stepped:
-        mismatches = abs(len(walked) - len(stepped)) + sum(1 for p, q in zip(walked, stepped) if p != q)
+    if i_walked != i_stepped or j_walked != j_stepped:
+        steps = zip(i_walked, j_walked, i_stepped, j_stepped)
+        mismatches = abs(len(i_walked) - len(i_stepped)) + sum(1 for i, j, oi, oj in steps if i != oi or j != oj)
     suite(("oracle-agreement", mismatches == 0, f"{scan} successor steps, {mismatches} mismatches"))
 
     fg = verify_fg_at_convergents(table, depth)

@@ -52,16 +52,16 @@ class SortedStream:
 def enumerate_sorted(pair: GeneratorPair, count: int) -> list[tuple[GridPoint, int]]:
     """First `count` elements of S as (coordinates, exact value); refuses where value() would.
 
-    The list is `_merge`'s, with each exponent pair made a GridPoint.
+    The list is `_merge`'s, with its i and j lists zipped into GridPoints.
     """
     _check_pair(pair, "enumerate_sorted")
     count = _count(count, "count", 1)
-    ij, vals = _merge(pair, count)
-    return list(zip(map(_point, repeat(GridPoint), ij), vals))
+    i, j, vals = _merge(pair, count)
+    return list(zip(map(_point, repeat(GridPoint), zip(i, j)), vals))
 
 
-def _merge(pair: GeneratorPair, count: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The exponent pairs (i, j), as plain tuples, and the values of the first `count` >= 1 elements of S.
+def _merge(pair: GeneratorPair, count: int) -> tuple[list[int], list[int], list[int]]:
+    """The i exponents, the j exponents and the values of the first `count` >= 1 elements of S, as three int lists.
 
     Dijkstra's two-index merge, an algorithm apart from `SortedStream`'s heap:
     every element but 1 is p1 or p2 times a smaller one, so the next element
@@ -71,14 +71,13 @@ def _merge(pair: GeneratorPair, count: int) -> tuple[list[tuple[int, int]], list
     checked by the caller; an element past the budget refuses as value() would.
     """
     p1, p2, budget = pair.p1, pair.p2, pair.bit_budget
-    vals, ij = [1], [(0, 0)]  # the values and coordinates listed; value() never refuses (0, 0)
+    vals, i_out, j_out = [1], [0], [0]  # the elements listed; value() never refuses (0, 0)
     a = b = 0
     x1, x2 = p1, p2  # vals[a] * p1 and vals[b] * p2
     for _ in range(count - 1):
         if x1 <= x2:
             v = x1
-            i, j = ij[a]
-            i += 1
+            i, j = i_out[a] + 1, j_out[a]
             vals.append(v)  # vals[a + 1] may be v itself
             if x1 == x2:
                 b += 1
@@ -87,16 +86,16 @@ def _merge(pair: GeneratorPair, count: int) -> tuple[list[tuple[int, int]], list
             x1 = vals[a] * p1
         else:
             v = x2
-            i, j = ij[b]
-            j += 1
+            i, j = i_out[b], j_out[b] + 1
             vals.append(v)
             b += 1
             x2 = vals[b] * p2
         # Below this length log2(v) < budget - 1 bounds both exponents and the estimate: no refusal.
         if v.bit_length() >= budget:
             _check_value_budget(pair, i, j)
-        ij.append((i, j))
-    return ij, vals
+        i_out.append(i)
+        j_out.append(j)
+    return i_out, j_out, vals
 
 
 def naive_next(pair: GeneratorPair, p: GridPoint) -> GridPoint:

@@ -10,13 +10,14 @@ over the sorted edges keeps, for the current run, the sum of the covering
 rectangles' row masks and the sum of their heights. The popcount of a sum of
 masks equals the sum of their popcounts only when no two masks overlap, so a
 run whose mask sum is its expected mask and whose height sum is that mask's
-popcount covers each of its cells exactly once.
+popcount covers each of its cells exactly once. The sums decide every run;
+only a wrong run has its rows' covers counted, once, down its first column,
+which names its wrong cells and their counts in every column of the run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
 from itertools import islice
 from typing import NamedTuple
 
@@ -151,14 +152,15 @@ def verify_partition(
     edges holds each run's mask sum and height sum. A run is right iff its
     mask sum is the expected mask and its height sum that mask's popcount:
     the sum of popcounts exceeds the popcount of the sum whenever two masks
-    overlap. Only a wrong run is painted, a cell painted twice counting as
-    doubly covered, and expanded into its wrong cells, x then y ascending, up
-    to 20 violations.
+    overlap. Only for a wrong run are the covers of each row counted, down
+    its first column by the rectangles spanning that column; the rows whose
+    count is not the expected one are wrong in every column of the run. The
+    violations are those cells with their counts, x then y ascending, up to
+    20.
     """
     _check_table(table, "verify_partition")
     W, H = _integer(W, "W"), _integer(H, "H")
     rects = rectangles_in_window(table, W, H, tilde)
-    clipped = []
     masks = dict.fromkeys((0, 1, W) if tilde else (0, W), 0)  # x -> change of the run's mask sum
     heights = masks.copy()  # x -> change of its height sum
     top = H - 1
@@ -171,14 +173,13 @@ def verify_partition(
         if x0 < x1 and y0 <= y1:
             rows = y1 - y0 + 1
             mask = ((1 << rows) - 1) << y0
-            clipped.append((x0, x1, mask))
             masks[x0] = masks.get(x0, 0) + mask
             masks[x1] = masks.get(x1, 0) - mask
             heights[x0] = heights.get(x0, 0) + rows
             heights[x1] = heights.get(x1, 0) - rows
     edges = sorted(masks)
     full = (1 << H) - 1
-    bad: list[tuple[int, int]] = []
+    violations: list[tuple[tuple[int, int], int]] = []
     summed = height = 0
     for n in range(len(edges) - 1):
         x = edges[n]
@@ -186,36 +187,25 @@ def verify_partition(
         height += heights[x]
         expected, count = (full - 1, H - 1) if tilde and n == 0 else (full, H)
         if summed != expected or height != count:
-            painted = doubled = 0
-            for x0, x1, mask in clipped:
-                if x0 <= x < x1:
-                    doubled |= painted & mask
-                    painted |= mask
-            bad += islice(_cells(x, edges[n + 1], (painted ^ expected) | doubled), 20 - len(bad))
-            if len(bad) == 20:
+            covers = [0] * H
+            for _, _, _, x_min, x_max, y_min, y_max in rects:
+                if x_min <= x <= x_max:
+                    for y in range(max(y_min, 0), min(y_max, top) + 1):
+                        covers[y] += 1
+            # Each row is expected once, but row 0 of the tilde origin run (expected's clear bit) never.
+            wrong = [(y, c) for y, c in enumerate(covers) if c != (1 if y else expected & 1)]
+            cells = (((column, y), c) for column in range(x, edges[n + 1]) for y, c in wrong)
+            violations += islice(cells, 20 - len(violations))
+            if len(violations) == 20:
                 break
-    violations = [
-        ((x, y), sum(r.x_min <= x <= r.x_max and r.y_min <= y <= r.y_max for r in rects))
-        for x, y in bad
-    ]
     return PartitionReport(
-        ok=not bad,
+        ok=not violations,
         width=W,
         height=H,
         tilde=tilde,
         rectangle_count=len(rects),
         violations=violations,
     )
-
-
-def _cells(x0: int, x1: int, mask: int) -> Iterator[tuple[int, int]]:
-    """The cells (x, y) of columns x0 <= x < x1 whose y bit is set in mask, x then y ascending."""
-    for x in range(x0, x1):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            yield x, low.bit_length() - 1
-            rest ^= low
 
 
 def large_gap(table: ConvergentTable, level: int, family: str = "A") -> GapWitness:

@@ -25,9 +25,15 @@ def safe_depth(table: ConvergentTable, target: int, k_cap: int = 100_000) -> int
     Keeps power comparisons inside the default bit budget for pairs whose
     continued fraction has huge partial quotients (e.g. (6, 10)).
     """
-    while table.depth < target and table.k(table.depth) < k_cap:
+    while table.depth < target and table.convergents[-1][1] < k_cap:
         table.extend_to(table.depth + 1)
     return min(table.depth, target)
+
+
+def columns(table: ConvergentTable) -> tuple[list[int], list[int], list[int]]:
+    """The quotients a_i, numerators h_i and denominators k_i of the rows stored so far, as three lists."""
+    h, k = zip(*table.convergents)
+    return table.quotients, list(h), list(k)
 
 
 def slow_quotients(pair, depth):

@@ -23,7 +23,7 @@ from lattice_succ import (
 from lattice_succ.core_arith import AffineForm, GREATER, LESS, compare_fraction
 from lattice_succ.tiling import large_gap
 
-from conftest import PAIR_ARGS, safe_depth, table_for
+from conftest import PAIR_ARGS, columns, safe_depth, table_for
 
 
 def report(name, detail=""):
@@ -81,13 +81,14 @@ def test_criterion_4_convergent_engine():
     for p1, p2 in PAIR_ARGS:
         t = table_for(p1, p2)
         depth = safe_depth(t, 12)
+        a, h, k = columns(t)
         for i in range(depth):
-            det = t.h(i) * t.k(i + 1) - t.k(i) * t.h(i + 1)
+            det = h[i] * k[i + 1] - k[i] * h[i + 1]
             assert abs(det) == 1
             if i >= 2:
-                assert t.h(i) == t.quotient(i) * t.h(i - 1) + t.h(i - 2)
-                assert t.k(i) == t.quotient(i) * t.k(i - 1) + t.k(i - 2)
-            side = compare_fraction(t.pair, t.h(i), t.k(i))
+                assert h[i] == a[i] * h[i - 1] + h[i - 2]
+                assert k[i] == a[i] * k[i - 1] + k[i - 2]
+            side = compare_fraction(t.pair, h[i], k[i])
             assert side == (LESS if i % 2 == 0 else GREATER)
     report("4 convergent-engine", "quotients, determinant, recurrence, parity sides")
 
@@ -97,7 +98,7 @@ def test_criterion_5_fg_identities_to_k_10000(p1, p2):
     table = table_for(p1, p2)
     table.extend_until(10_000, seq="k", parity=0)
     table.extend_until(10_000, seq="k", parity=1)
-    max_index = max(i for i in range(table.depth + 1) if table.k(i) <= 10_000)
+    max_index = max(i for i, (_, k) in enumerate(table.convergents) if k <= 10_000)
     rep = verify_fg_at_convergents(table, max_index)
     assert rep.ok, rep.failures
     report(f"5 fg-identities ({p1},{p2})", f"{rep.checked} identities through k_i <= 10000")
@@ -118,7 +119,8 @@ def test_criterion_6_minimal_fractional_records_5000(p1, p2):
         while len(out) < need:
             idx = 2 * i - 1 if parity_odd else 2 * i
             table.extend_to(idx + 1)
-            out.extend([table.h(idx)] * table.quotient(idx + 1))
+            a, h, _ = columns(table)
+            out.extend([h[idx]] * a[idx + 1])
             i += 1
         return out[:need]
 

@@ -291,8 +291,8 @@ def test_verify_fails_on_an_oracle_that_drops_an_element(monkeypatch, drop, line
     real = oracle._merge
 
     def dropping(pair, count):
-        ij, vals = real(pair, count)
-        return ij[:drop] + ij[drop + 1:], vals[:drop] + vals[drop + 1:]
+        i, j, vals = real(pair, count)
+        return i[:drop] + i[drop + 1:], j[:drop] + j[drop + 1:], vals[:drop] + vals[drop + 1:]
 
     monkeypatch.setattr(oracle, "_merge", dropping)
     code, out = invoke(VERIFY_ARGS)
@@ -302,12 +302,14 @@ def test_verify_fails_on_an_oracle_that_drops_an_element(monkeypatch, drop, line
 
 @pytest.mark.parametrize("p1,p2", PAIR_ARGS)
 def test_enumerate_sorted_is_the_merge_made_grid_points(p1, p2):
-    # verify compares walk with the merge's plain tuples; enumerate_sorted's list is unchanged by the split.
+    # verify compares walk's i and j lists with the merge's; enumerate_sorted zips them into GridPoints.
     pair = validate_pair(p1, p2)
     elems = enumerate_sorted(pair, 500)
     assert elems == [(q, value(pair, q)) for q in islice(SortedStream(pair), 500)]
     assert all(type(q) is GridPoint and type(v) is int for q, v in elems)
-    ij, vals = oracle._merge(pair, 500)
+    i, j, vals = oracle._merge(pair, 500)
+    assert all(type(x) is int for x in i + j)
+    ij = list(zip(i, j))
     assert all(type(q) is tuple for q in ij)
     assert (ij, vals) == ([tuple(q) for q, _ in elems], [v for _, v in elems])
 

@@ -36,7 +36,7 @@ from lattice_succ.core_arith import (
     _common_base,
 )
 
-from conftest import PAIR_ARGS, pair_for, safe_depth, slow_quotients, table_for
+from conftest import PAIR_ARGS, columns, pair_for, safe_depth, slow_quotients, table_for
 
 pairs = st.sampled_from([pair_for(*a) for a in PAIR_ARGS])
 
@@ -240,10 +240,10 @@ class TestCompareFraction:
         # k_600 of (2, 3) has about 1040 bits: the float pre-filter works on
         # shifted counts and cannot separate a convergent, so decimal logs do.
         pair = validate_pair(2, 3, bit_budget=10**600)
-        table = ConvergentTable(pair).extend_to(601)
-        assert table.k(600) >> 1000
-        assert compare_fraction(pair, table.h(600), table.k(600)) == LESS
-        assert compare_fraction(pair, table.h(601), table.k(601)) == GREATER
+        _, h, k = columns(ConvergentTable(pair).extend_to(601))
+        assert k[600] >> 1000
+        assert compare_fraction(pair, h[600], k[600]) == LESS
+        assert compare_fraction(pair, h[601], k[601]) == GREATER
 
 
 class TestNonIntegerComparisonArguments:
@@ -304,9 +304,10 @@ class TestCompareAffine:
         table = table_for(*args).extend_to(depth)
         lp1, lp2 = math.log2(pair.p1), math.log2(pair.p2)
         exact = 0
+        _, hs, ks = columns(table)
         for i in range(1, depth + 1):
-            for h in (table.h(i) - 1, table.h(i), table.h(i) + 1):
-                k = table.k(i)
+            for h in (hs[i] - 1, hs[i], hs[i] + 1):
+                k = ks[i]
                 frac = compare_fraction(pair, h, k)
                 assert frac == -_affine_sign(pair, k, h)
                 assert frac == (LESS if pair.p2**h < pair.p1**k else GREATER)
@@ -369,7 +370,7 @@ class TestUpperLowerSequences:
         pair, table = pair_for(*args), table_for(*args)
         depth = safe_depth(table, 14, k_cap=10**5)
         i = data.draw(st.integers(1, depth), label="index")
-        n = table.h(i) + data.draw(st.integers(-1, 1), label="offset")
+        n = table.convergents[i][0] + data.draw(st.integers(-1, 1), label="offset")
         if n >= 1:
             assert f(pair, n) == _f_reference(pair, n)
 
@@ -450,10 +451,11 @@ class TestCertifiedFloor:
         # about 1/k_(i+1): there the logs of the guess and the signs are hardest.
         pair = validate_pair(*args, bit_budget=RAISED_BUDGET)
         table = ConvergentTable(pair)
-        while table.h(table.depth) < 10**120:
+        while table.convergents[-1][0] < 10**120:
             table.extend_to(table.depth + 1)
+        _, h, _ = columns(table)
         for i in range(1, table.depth + 1):
-            for n in (table.h(i) - 1, table.h(i), table.h(i) + 1):
+            for n in (h[i] - 1, h[i], h[i] + 1):
                 if n >= 1:
                     _check_f(pair, n, sign_calls)
 
@@ -587,7 +589,7 @@ class TestCertifiedLogPath:
         # and big-integer powers settle every comparison of the mediant walk.
         monkeypatch.setattr(core_arith, "_log_sign", lambda *args: EQUAL)
         depth = OLD_WALL_DEPTHS[(p1, p2)]
-        assert slow_quotients(pair, depth) == [(table.quotient(i), table.h(i), table.k(i)) for i in range(depth + 1)]
+        assert slow_quotients(pair, depth) == list(zip(*columns(table)))[:depth + 1]
 
     @pytest.mark.parametrize("p1,p2", [(2, 3**100), (2, 10**400), (3**100, 2**200 + 1)])
     def test_logs_above_100_at_convergents(self, p1, p2, monkeypatch):
@@ -602,8 +604,9 @@ class TestCertifiedLogPath:
         assert table.depth >= 4
         monkeypatch.setattr(core_arith, "_FLOAT_ABS_MARGIN", math.inf)
         calls = _spy_log_sign(monkeypatch)
+        convergents = table.convergents
         for i in range(1, table.depth + 1):
-            h, k = table.h(i), table.k(i)
+            h, k = convergents[i]
             for dk, dn in ((k, h), (k, h - 1), (k, h + 1), (k - 1, h), (k + 1, h)):
                 if dk <= 0 or dn <= 0 or max(dk * math.log2(p1), dn * math.log2(p2)) > pair.bit_budget:
                     continue

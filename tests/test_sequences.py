@@ -22,7 +22,7 @@ from lattice_succ import sequences
 from lattice_succ.core_arith import ZERO_FORM
 from lattice_succ.sequences import _decreasing
 
-from conftest import PAIR_ARGS, safe_depth, table_for
+from conftest import PAIR_ARGS, columns, safe_depth, table_for
 
 # The conftest pairs, adjacent generators, and generators far apart in size.
 SCAN_PAIRS = PAIR_ARGS + [(5, 7), (10, 11), (6, 7), (1000, 1001), (2, 10**6), (99991, 299967)]
@@ -130,7 +130,8 @@ class TestMinimalFractionalSubsequences:
             while len(out) < need:
                 idx = 2 * i - 1 if start_index == "odd" else 2 * i
                 table.extend_to(idx + 1)
-                out.extend([table.h(idx)] * table.quotient(idx + 1))
+                a, h, _ = columns(table)
+                out.extend([h[idx]] * a[idx + 1])
                 i += 1
             return out[:need]
 
@@ -225,34 +226,32 @@ class TestMinimalFractionalSubsequences:
             minimal_fractional_subsequences(table, longest + 1)
 
 
-# The convergent-chain walks written out index by index through the table
-# accessors: the references the band enumeration must reproduce, both in what
+# The convergent-chain walks written out index by index over the table's
+# quotients and convergents: the references the band enumeration must reproduce, both in what
 # it returns and in how far it grows a fresh table.
 
 
 def ref_ceil_chain(table, max_index):
+    a, h, k = columns(table)
     chain = []
     l = 1
     while 2 * l + 1 <= max_index:
-        for t in range(table.quotient(2 * l + 1)):
-            chain.append(
-                (table.h(2 * l - 1) + t * table.h(2 * l), table.k(2 * l - 1) + t * table.k(2 * l))
-            )
+        for t in range(a[2 * l + 1]):
+            chain.append((h[2 * l - 1] + t * h[2 * l], k[2 * l - 1] + t * k[2 * l]))
         l += 1
-    chain.append((table.h(2 * l - 1), table.k(2 * l - 1)))
+    chain.append((h[2 * l - 1], k[2 * l - 1]))
     return chain
 
 
 def ref_floor_chain(table, max_index):
+    a, h, k = columns(table)
     chain = []
     j = 0
     while 2 * j + 2 <= max_index:
-        for t in range(table.quotient(2 * j + 2)):
-            chain.append(
-                (table.h(2 * j) + t * table.h(2 * j + 1), table.k(2 * j) + t * table.k(2 * j + 1))
-            )
+        for t in range(a[2 * j + 2]):
+            chain.append((h[2 * j] + t * h[2 * j + 1], k[2 * j] + t * k[2 * j + 1]))
         j += 1
-    chain.append((table.h(2 * j), table.k(2 * j)))
+    chain.append((h[2 * j], k[2 * j]))
     return chain
 
 
@@ -262,9 +261,10 @@ def ref_record_indices(table, N):
     i = 1
     while True:
         table.extend_to(2 * i)
-        step = table.h(2 * i - 1)
+        a, h, _ = columns(table)
+        step = h[2 * i - 1]
         done = False
-        for _ in range(table.quotient(2 * i)):
+        for _ in range(a[2 * i]):
             x += step
             if x > N:
                 done = True
@@ -275,15 +275,16 @@ def ref_record_indices(table, N):
         i += 1
 
     m_chain = []
-    x = table.h(1)
+    x = h[1]
     if x <= N:
         m_chain.append(x)
     i = 1
     while True:
         table.extend_to(2 * i + 1)
-        step = table.h(2 * i)
+        a, h, _ = columns(table)
+        step = h[2 * i]
         done = False
-        for _ in range(table.quotient(2 * i + 1)):
+        for _ in range(a[2 * i + 1]):
             x += step
             if x > N:
                 done = True
@@ -298,18 +299,19 @@ def ref_record_indices(table, N):
 def ref_fg_identities(table, max_index):
     """(n, f, g, label) of every identity, in the order they are checked."""
     table.extend_to(max_index + 1)
+    a, hs, ks = columns(table)
     for j in range(0, (max_index - 1) // 2 + 1):
         if 2 * j + 2 > max_index + 1:
             break
-        for t in range(1, table.quotient(2 * j + 2) + 1):
-            k = table.k(2 * j) + t * table.k(2 * j + 1)
-            yield table.h(2 * j) + t * table.h(2 * j + 1), k, k - 1, f"even base 2j={2 * j}, t={t}"
+        for t in range(1, a[2 * j + 2] + 1):
+            k = ks[2 * j] + t * ks[2 * j + 1]
+            yield hs[2 * j] + t * hs[2 * j + 1], k, k - 1, f"even base 2j={2 * j}, t={t}"
     for l in range(1, max_index // 2 + 1):
         if 2 * l + 1 > max_index + 1:
             break
-        for t in range(0, table.quotient(2 * l + 1) + 1):
-            k = table.k(2 * l - 1) + t * table.k(2 * l)
-            yield table.h(2 * l - 1) + t * table.h(2 * l), k + 1, k, f"odd base 2l-1={2 * l - 1}, t={t}"
+        for t in range(0, a[2 * l + 1] + 1):
+            k = ks[2 * l - 1] + t * ks[2 * l]
+            yield hs[2 * l - 1] + t * hs[2 * l], k + 1, k, f"odd base 2l-1={2 * l - 1}, t={t}"
 
 
 def fresh(table):

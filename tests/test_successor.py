@@ -46,7 +46,7 @@ from lattice_succ import successor
 from lattice_succ.cli import build_parser
 from lattice_succ.core_arith import DEFAULT_BIT_BUDGET, _check_value_budget
 
-from conftest import PAIR_ARGS, pair_for, table_for
+from conftest import PAIR_ARGS, columns, pair_for, table_for
 
 points = st.tuples(st.integers(0, 60), st.integers(0, 60)).map(lambda t: GridPoint(*t))
 pair_args = st.sampled_from(PAIR_ARGS)
@@ -123,12 +123,13 @@ class TestLocate:
         r = locate(table, p)
         L = r.level
         dx, dy = p.i - r.x_min, p.j - r.y_min
+        a, h, k = columns(table)
         if r.family == "A":
-            assert 0 <= r.band < table.quotient(2 * L + 1)
-            assert (r.width, r.height) == (table.k(2 * L), table.h(2 * L))
+            assert 0 <= r.band < a[2 * L + 1]
+            assert (r.width, r.height) == (k[2 * L], h[2 * L])
         else:
-            assert 0 <= r.band < table.quotient(2 * L + 2)
-            assert (r.width, r.height) == (table.k(2 * L + 1), table.h(2 * L + 1))
+            assert 0 <= r.band < a[2 * L + 2]
+            assert (r.width, r.height) == (k[2 * L + 1], h[2 * L + 1])
         assert 0 <= dx < r.width and 0 <= dy < r.height
 
     @pytest.mark.parametrize("tilde", [False, True], ids=["source", "tilde"])
@@ -867,8 +868,8 @@ def test_note_adjfact_translation_is_the_band_mediant(p1, p2):
         for r in rectangles_in_window(ConvergentTable(pair), W, H, tilde=tilde):
             n = 2 * r.level - r.family.startswith("A")
             bands.extend_to(n + 1)
-            h = bands.h(n) + r.band * bands.h(n + 1)
-            k = bands.k(n) + r.band * bands.k(n + 1)
+            (h0, k0), (h1, k1) = bands.convergents[n:n + 2]
+            h, k = h0 + r.band * h1, k0 + r.band * k1
             assert compare_fraction(pair, h, k) == (GREATER if n % 2 else LESS)
             dx, dy = (-k, h) if n % 2 else (k, -h)
             for x in range(max(r.x_min, 0), min(r.x_max + 1, W)):

@@ -13,7 +13,7 @@ from lattice_succ import (
 from lattice_succ import tiling
 from lattice_succ.tiling import Rectangle, large_gap
 
-from conftest import PAIR_ARGS, table_for
+from conftest import PAIR_ARGS, columns, table_for
 
 
 def covering(rects, x, y):
@@ -41,14 +41,15 @@ class TestRectanglesInWindow:
         rects = rectangles_in_window(table23, 40, 40)
         keys = [(r.family, r.level, r.band) for r in rects]
         assert keys == sorted(keys)
+        _, h, k = columns(table23)
         for r in rects:
             # extents are reported unclipped, with theorem dimensions
             if r.family == "A":
-                assert (r.width, r.height) == (table23.k(2 * r.level), table23.h(2 * r.level))
+                assert (r.width, r.height) == (k[2 * r.level], h[2 * r.level])
             else:
                 assert (r.width, r.height) == (
-                    table23.k(2 * r.level + 1),
-                    table23.h(2 * r.level + 1),
+                    k[2 * r.level + 1],
+                    h[2 * r.level + 1],
                 )
 
     def test_rejects_empty_window(self, table23):
@@ -57,24 +58,26 @@ class TestRectanglesInWindow:
 
 
 def ref_rectangles(table, W, H, tilde):
-    """The band walk written out through the table accessors, then sorted."""
+    """The band walk written out over the table's quotients and convergents, then sorted."""
     families = (("A~", "h", 1), ("P~", "k", 0)) if tilde else (("A", "k", 1), ("P", "h", 0))
     rects = []
     for family, seq, parity in families:
-        coord = table.h if seq == "h" else table.k
         limit = W if seq == "k" else H
+        side = 0 if seq == "h" else 1  # seq's place in a convergent (h, k)
         table.extend_to(parity)
         n = parity
-        while coord(n) < limit:
+        while table.convergents[n][side] < limit:
             table.extend_to(n + 2)
-            for t in range(table.quotient(n + 2)):
-                start = coord(n) + t * coord(n + 1)
+            a, h, k = columns(table)
+            coord = h if seq == "h" else k
+            for t in range(a[n + 2]):
+                start = coord[n] + t * coord[n + 1]
                 if start >= limit:
                     break
                 if seq == "k":
-                    extents = (start, start + table.k(n + 1) - 1, 0, table.h(n + 1) - 1)
+                    extents = (start, start + k[n + 1] - 1, 0, h[n + 1] - 1)
                 else:
-                    extents = (0, table.k(n + 1) - 1, start, start + table.h(n + 1) - 1)
+                    extents = (0, k[n + 1] - 1, start, start + h[n + 1] - 1)
                 rects.append(Rectangle(family, (n + 1) // 2, t, *extents))
             n += 2
     rects.sort(key=lambda r: (r.family, r.level, r.band))
@@ -223,6 +226,25 @@ class TestRunPainterMatchesCellReference:
         report = verify_partition(table_for(2, 3), 12, 12, tilde=True)
         assert report.ok is False
         assert report.violations == [((0, 0), 1), ((1, 0), 0)]
+
+
+@pytest.mark.parametrize("p1,p2", PAIR_ARGS)
+@pytest.mark.parametrize("tilde", [False, True])
+@pytest.mark.parametrize("edit", ["dropped", "carried"])
+def test_tall_narrow_window_tampered(monkeypatch, p1, p2, tilde, edit):
+    # On 6x3000 a tampered band leaves a few wrong rows in each column of its runs, so the
+    # first 20 violations run on across several columns; the cover count of the run's first
+    # column stands for all of them.
+    table = table_for(p1, p2)
+    spread = 0
+    for r in rectangles_in_window(table, 6, 3000, tilde):
+        with monkeypatch.context() as m:
+            tamper(m, r.family, r.level, r.band, EDITS[edit])
+            want = reference_partition(table, 6, 3000, tilde)
+            assert partition_report(table, 6, 3000, tilde) == want, r
+        assert not want[0]
+        spread += len({x for (x, _), _ in want[2]}) > 1
+    assert spread > 0
 
 
 class TestTranslationConsistency:
